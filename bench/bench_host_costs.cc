@@ -23,9 +23,11 @@ namespace {
 void
 BM_CompileAttentionKernel(benchmark::State &state)
 {
-    // Capacity 0 retains nothing: each iteration pays the full
-    // plan + cost pipeline (the cold-compile cost a deployment pays
-    // per distinct kernel).
+    // Capacity 0 retains nothing: each iteration pays the plan + cost
+    // pipeline (the cold-compile cost a deployment pays per distinct
+    // kernel), with the conflict multiplier recalled from the Engine's
+    // memo after the first iteration, as for every shape but the first
+    // that shares a codebook slice.
     compiler::EngineOptions opts;
     opts.cache_capacity = 0;
     compiler::Engine eng(gpusim::rtx4090(), opts);

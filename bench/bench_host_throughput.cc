@@ -190,7 +190,9 @@ main()
     // ------------------------------------------- plan-cache pricing
     // The compile facade's memoizing cache: wall-clock of pricing the
     // same decode shapes cold (capacity 0 retains nothing, every
-    // compile re-plans) vs through the cache (steady-state serving).
+    // compile re-plans and re-costs; only the conflict multiplier is
+    // recalled from the Engine's memo) vs through the cache
+    // (steady-state serving).
     double plan_cold_ms = 0, plan_cached_ms = 0, plan_hit_rate = 0;
     {
         auto pricingSweep = [](compiler::Engine &eng) {

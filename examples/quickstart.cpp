@@ -11,31 +11,30 @@
  *
  * Build: cmake --build build && ./build/examples/quickstart
  *
- * Pass `--kernel-cache-dir DIR` to persist both the fitted codebooks
- * and the compiled kernels across runs (DESIGN.md Sec. 13): a second
- * invocation skips the k-means fit and the plan search entirely.
+ * Pass `--codebook-file FILE` to persist the quantized weight (indices
+ * plus fitted codebooks, via vq/serialize): the first run writes FILE,
+ * later runs load it and skip the k-means fit.
  */
 #include <cstdio>
 #include <cstring>
-#include <memory>
+#include <fstream>
+#include <string>
 
-#include "compiler/disk_cache.h"
 #include "compiler/engine.h"
 #include "kernels/reference.h"
 #include "tensor/datagen.h"
 #include "vq/profiler.h"
+#include "vq/serialize.h"
 
 using namespace vqllm;
 
 int
 main(int argc, char **argv)
 {
-    std::shared_ptr<compiler::DiskCache> disk;
+    std::string codebook_file;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--kernel-cache-dir") == 0 &&
-            i + 1 < argc) {
-            disk = compiler::DiskCache::open(argv[++i]);
-        }
+        if (std::strcmp(argv[i], "--codebook-file") == 0 && i + 1 < argc)
+            codebook_file = argv[++i];
     }
 
     // 1. A small weight matrix and a 2-bit VQ configuration.
@@ -44,20 +43,18 @@ main(int argc, char **argv)
     vq::VQConfig cfg = vq::gptvq2();               // VQ<4,8,1>
     cfg.num_entries = 64;                          // small demo codebook
 
-    // With a persistent cache attached, the quantization itself is an
-    // artifact: a warm run loads the fitted codebooks instead of
-    // re-running the k-means fit.
-    const std::string codebook_key =
-        "quickstart/llm128x64/" + cfg.notation();
+    // The quantization itself is an artifact: with a codebook file
+    // that already exists, load it instead of re-running the fit.
     vq::QuantizedTensor qt;
-    bool codebook_hit = disk && disk->loadCodebook(codebook_key, qt);
-    if (!codebook_hit) {
+    if (!codebook_file.empty() && std::ifstream(codebook_file).good()) {
+        qt = vq::loadQuantizedTensorFile(codebook_file);
+        std::printf("loaded %s: skipped quantization fit\n",
+                    codebook_file.c_str());
+    } else {
         vq::VectorQuantizer quantizer(cfg);
         qt = quantizer.quantize(weight);
-        if (disk)
-            disk->storeCodebook(codebook_key, qt);
-    } else {
-        std::printf("codebook cache hit: skipped quantization fit\n");
+        if (!codebook_file.empty())
+            vq::saveQuantizedTensorFile(qt, codebook_file);
     }
     std::printf("quantized %zux%zu weight with %s: %zu -> %zu bytes "
                 "(%.1f%%)\n",
@@ -78,8 +75,6 @@ main(int argc, char **argv)
     //    one call resolves the plan (Alg. 2), prices it, and hands
     //    back a shared immutable artifact.
     compiler::Engine compile_engine(gpusim::rtx4090());
-    if (disk)
-        compile_engine.setDiskCache(disk);
     auto kernel = compile_engine.compile(compiler::KernelRequest::gemvOp(
         {1, qt.rows, qt.cols}, cfg, engine::OptLevel::O4,
         &profile.histograms[0]));
@@ -125,14 +120,5 @@ main(int argc, char **argv)
         pos = next == std::string::npos ? next : next + 1;
     }
     std::printf("  ...\n");
-    if (disk) {
-        auto ds = disk->stats();
-        std::printf("\ndisk-cache: dir=%s hits=%llu misses=%llu "
-                    "admits=%llu\n",
-                    disk->dir().c_str(),
-                    static_cast<unsigned long long>(ds.hits),
-                    static_cast<unsigned long long>(ds.misses),
-                    static_cast<unsigned long long>(ds.admits));
-    }
     return 0;
 }

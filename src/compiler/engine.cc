@@ -1,11 +1,12 @@
 #include "compiler/engine.h"
 
 #include <algorithm>
+#include <charconv>
+#include <initializer_list>
 #include <sstream>
 
 #include "codegen/cuda_emitter.h"
 #include "common/logging.h"
-#include "compiler/disk_cache.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -26,18 +27,27 @@ fnv1a(const void *data, std::size_t bytes, std::uint64_t seed)
     return h;
 }
 
-/** Histogram key component: presence plus a content digest (the
- *  request's precomputed digest when supplied). */
-std::string
-histogramKey(const vq::AccessHistogram *hist, std::uint64_t digest)
+/** Append an unsigned integer in `base` to a key. */
+void
+appendNum(std::string &key, std::uint64_t v, int base = 10)
 {
-    if (hist == nullptr)
-        return "none";
-    if (digest == 0)
-        digest = histogramDigest(*hist);
-    std::ostringstream oss;
-    oss << hist->counts.size() << ":" << std::hex << digest;
-    return oss.str();
+    char buf[20];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v, base);
+    key.append(buf, res.ptr);
+}
+
+/** Append decimal `values` separated by `sep`. */
+void
+appendJoined(std::string &key, std::initializer_list<std::uint64_t> values,
+             char sep)
+{
+    bool first = true;
+    for (std::uint64_t v : values) {
+        if (!first)
+            key += sep;
+        first = false;
+        appendNum(key, v);
+    }
 }
 
 /**
@@ -187,32 +197,55 @@ Engine::Engine(const gpusim::GpuSpec &spec, const EngineOptions &options)
 std::string
 Engine::cacheKey(const KernelRequest &request) const
 {
-    std::ostringstream key;
-    key << "op=" << engine::opKindName(request.kind) << "|shape=";
+    // Plain appends into one reserved buffer: the key is built on every
+    // lookup, hits included.
+    const auto &cfg = request.config;
+    std::string key;
+    key.reserve(128 + cfg.name.size() + key_suffix_.size());
+    key += "op=";
+    key += engine::opKindName(request.kind);
+    key += "|shape=";
     if (request.kind == engine::OpKind::AttentionDecode) {
         // kvHeads() folds the kv_heads==0 MHA default onto its
         // explicit spelling so the two cannot produce distinct keys.
-        key << request.attn.batch << "," << request.attn.heads << ","
-            << request.attn.seq_len << "," << request.attn.head_dim
-            << "," << request.attn.kvHeads();
+        const auto &a = request.attn;
+        appendJoined(key,
+                     {a.batch, a.heads, a.seq_len, a.head_dim, a.kvHeads()},
+                     ',');
     } else {
-        key << request.gemm.m << "," << request.gemm.n << ","
-            << request.gemm.k;
+        const auto &g = request.gemm;
+        appendJoined(key, {g.m, g.n, g.k}, ',');
     }
-    const auto &cfg = request.config;
-    key << "|cfg=" << cfg.name << "/" << cfg.vector_size << "/"
-        << cfg.num_entries << "/" << cfg.residuals << "/"
-        << static_cast<int>(cfg.scope) << "/" << (cfg.lattice ? 1 : 0)
-        << "/" << cfg.lattice_base_entries;
-    key << "|lvl=" << engine::optLevelName(request.level);
-    key << key_suffix_;
-    key << "|hist=" << histogramKey(request.histogram,
-                                    request.histogram_digest);
-    return key.str();
+    key += "|cfg=";
+    key += cfg.name;
+    key += '/';
+    appendJoined(key,
+                 {cfg.vector_size, cfg.num_entries, cfg.residuals,
+                  static_cast<std::uint64_t>(cfg.scope), cfg.lattice,
+                  cfg.lattice_base_entries},
+                 '/');
+    key += "|lvl=";
+    key += engine::optLevelName(request.level);
+    key += key_suffix_;
+    // Histogram: presence plus a hex content digest (the request's
+    // precomputed digest when supplied).
+    key += "|hist=";
+    if (request.histogram == nullptr) {
+        key += "none";
+    } else {
+        appendNum(key, request.histogram->counts.size());
+        key += ':';
+        appendNum(key,
+                  request.histogram_digest != 0
+                      ? request.histogram_digest
+                      : histogramDigest(*request.histogram),
+                  16);
+    }
+    return key;
 }
 
 std::shared_ptr<const CompiledKernel>
-Engine::compileUncached(const KernelRequest &request) const
+Engine::compileUncached(const KernelRequest &request)
 {
     engine::PlanInputs in;
     in.spec = &spec_;
@@ -225,13 +258,15 @@ Engine::compileUncached(const KernelRequest &request) const
         artifact->plan_ = engine::planAttentionKernel(
             request.attn, request.config, request.level, in);
         artifact->estimate_ = kernels::estimateVqAttentionKernel(
-            spec_, artifact->plan_, request.histogram);
+            spec_, artifact->plan_, request.histogram,
+            kernels::VqCostParams{}, &conflict_memo_);
     } else {
         artifact->plan_ = engine::planWeightKernel(
             request.kind, request.gemm, request.config, request.level,
             in);
         artifact->estimate_ = kernels::estimateVqWeightKernel(
-            spec_, artifact->plan_, request.histogram);
+            spec_, artifact->plan_, request.histogram,
+            kernels::VqCostParams{}, &conflict_memo_);
     }
     artifact->symbol_ = codegen::kernelSymbolName(artifact->plan_);
     return artifact;
@@ -253,28 +288,11 @@ Engine::compile(const KernelRequest &request)
         return it->second;
     }
     ++stats_.misses;
-    // Read through the persistent tier: a disk hit skips planning,
-    // costing and emission entirely, but still counts as an in-memory
-    // miss above so cached-off reports stay byte-identical.
-    std::shared_ptr<const CompiledKernel> artifact;
-    if (disk_)
-        artifact = disk_->loadKernel(key);
-    if (artifact) {
-        if (trace_)
-            trace_->instant(
-                "disk_cache_hit", "compiler", 0, trace_->now(),
-                {{"cache_size", static_cast<double>(cache_.size())}});
-    } else {
-        if (trace_)
-            trace_->instant(
-                "plan_compile", "compiler", 0, trace_->now(),
-                {{"cache_size", static_cast<double>(cache_.size())}});
-        artifact = compileUncached(request);
-        // Write-behind: persist the complete artifact (source forced
-        // inside storeKernel) so the next process starts disk-warm.
-        if (disk_)
-            disk_->storeKernel(key, *artifact);
-    }
+    if (trace_)
+        trace_->instant(
+            "plan_compile", "compiler", 0, trace_->now(),
+            {{"cache_size", static_cast<double>(cache_.size())}});
+    auto artifact = compileUncached(request);
     cache_.emplace(key, artifact);
     insertion_order_.push_back(key);
     while (cache_.size() > options_.cache_capacity) {
@@ -315,7 +333,15 @@ Engine::clearCache()
     std::lock_guard<std::mutex> lock(mutex_);
     cache_.clear();
     insertion_order_.clear();
+    conflict_memo_.clear();
     stats_.size = 0;
+}
+
+std::size_t
+Engine::conflictMemoSize() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    return conflict_memo_.size();
 }
 
 void
@@ -335,20 +361,6 @@ Engine::exportMetrics(obs::MetricsRegistry &registry,
     registry.counter(prefix + ".evictions").add(s.evictions);
     registry.gauge(prefix + ".size").set(static_cast<double>(s.size));
     registry.gauge(prefix + ".hit_rate").set(s.hitRate());
-}
-
-void
-Engine::setDiskCache(std::shared_ptr<DiskCache> disk)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    disk_ = std::move(disk);
-}
-
-std::shared_ptr<DiskCache>
-Engine::diskCache() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return disk_;
 }
 
 Engine &

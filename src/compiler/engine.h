@@ -42,6 +42,13 @@
  * immediate eviction — the reference configuration for cache-parity
  * tests.
  *
+ * A miss also consults the Engine's kernels::ConflictMemo: the
+ * bank-conflict multiplier depends on the shared-tier slice of the
+ * histogram and the bank geometry, never on the shape, so most misses
+ * reuse one computed value.  The memo lives under the same lock and is
+ * private to the Engine; it survives capacity eviction (its values are
+ * exact) and is emptied by clearCache().
+ *
  * See DESIGN.md §7 for the pipeline and cache-key canonicalization
  * contract.
  */
@@ -65,8 +72,6 @@ class TraceRecorder;
 }
 
 namespace vqllm::compiler {
-
-class DiskCache;
 
 /** Engine-wide planning policy (fixed per Engine, part of the key). */
 struct EngineOptions
@@ -184,7 +189,6 @@ class CompiledKernel
 
   private:
     friend class Engine;
-    friend class DiskCache; // (De)serializes the private fields.
     CompiledKernel() = default;
 
     engine::KernelPlan plan_;
@@ -275,8 +279,13 @@ class Engine
     /** @return a snapshot of the cache counters. */
     CacheStats stats() const;
 
-    /** Drop all retained artifacts (counters keep accumulating). */
+    /** Drop all retained artifacts and the conflict memo (counters
+     *  keep accumulating). */
     void clearCache();
+
+    /** @return distinct bank-conflict inputs priced by this engine
+     *  (the size of its conflict memo). */
+    std::size_t conflictMemoSize() const;
 
     /**
      * Attach a trace recorder (nullptr = off, the default): every cache
@@ -290,20 +299,6 @@ class Engine
     /** Publish the cache counters under `<prefix>.`-qualified names. */
     void exportMetrics(obs::MetricsRegistry &registry,
                        const std::string &prefix) const;
-
-    /**
-     * Attach a persistent second cache tier (nullptr = off, the
-     * default).  With a tier attached, compile() reads through it on
-     * an in-memory miss (a disk hit deserializes the stored artifact
-     * — bit-identical to a fresh compile — and still counts as an
-     * in-memory miss in stats(), so reports are unchanged) and writes
-     * freshly compiled artifacts behind it.  Multiple engines may
-     * share one DiskCache; see DiskCache::open.
-     */
-    void setDiskCache(std::shared_ptr<DiskCache> disk);
-
-    /** @return the attached second tier (nullptr when detached). */
-    std::shared_ptr<DiskCache> diskCache() const;
 
     /** @return the engine's private copy of the target GPU. */
     const gpusim::GpuSpec &spec() const { return spec_; }
@@ -319,8 +314,9 @@ class Engine
     static Engine &shared(const gpusim::GpuSpec &spec);
 
   private:
+    /** Plan and cost one request; caller holds mutex_. */
     std::shared_ptr<const CompiledKernel>
-    compileUncached(const KernelRequest &request) const;
+    compileUncached(const KernelRequest &request);
 
     gpusim::GpuSpec spec_;
     EngineOptions options_;
@@ -334,8 +330,9 @@ class Engine
     std::vector<std::string> insertion_order_;
     CacheStats stats_;
     obs::TraceRecorder *trace_ = nullptr;
-    /** Persistent second tier (optional). */
-    std::shared_ptr<DiskCache> disk_;
+    /** Shared-tier conflict multipliers priced so far; per Engine so a
+     *  fresh Engine still pays its cold compiles. */
+    kernels::ConflictMemo conflict_memo_;
 };
 
 } // namespace vqllm::compiler

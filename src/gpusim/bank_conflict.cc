@@ -1,8 +1,6 @@
 #include "gpusim/bank_conflict.h"
 
 #include <algorithm>
-#include <map>
-#include <set>
 
 #include "common/logging.h"
 
@@ -14,26 +12,31 @@ warpTransactions(const GpuSpec &spec,
                  unsigned bytes_per_lane)
 {
     vqllm_assert(bytes_per_lane > 0, "bytes_per_lane must be positive");
+    vqllm_assert(spec.smem_banks > 0, "smem_banks must be positive");
     vqllm_assert(static_cast<int>(lane_byte_addrs.size()) <= spec.warp_size,
                  "more lanes than warp size");
     const unsigned word = 4;
     unsigned phases = (bytes_per_lane + word - 1) / word;
 
-    std::uint64_t total = 0;
-    for (unsigned p = 0; p < phases; ++p) {
-        // bank -> set of distinct words accessed in that bank this phase
-        std::map<std::uint32_t, std::set<std::uint32_t>> bank_words;
-        for (std::uint32_t addr : lane_byte_addrs) {
-            std::uint32_t w = addr / word + p;
-            std::uint32_t bank = w % spec.smem_banks;
-            bank_words[bank].insert(w);
-        }
-        std::size_t degree = 0;
-        for (const auto &[bank, words] : bank_words)
-            degree = std::max(degree, words.size());
-        total += degree == 0 ? 1 : degree;
-    }
-    return total;
+    // Phase p reads word w + p for each lane word w.  The common shift
+    // keeps distinct words distinct and rotates every word's bank by p,
+    // so each phase has phase 0's degree: the most distinct words
+    // addressed in any one bank.  Scratch is per thread and sized by the
+    // call, not by an assumed warp width or bank count.
+    thread_local std::vector<std::uint32_t> words;
+    thread_local std::vector<std::uint32_t> bank_words;
+    words.clear();
+    for (std::uint32_t addr : lane_byte_addrs)
+        words.push_back(addr / word);
+    std::sort(words.begin(), words.end());
+    words.erase(std::unique(words.begin(), words.end()), words.end());
+
+    const auto banks = static_cast<std::uint32_t>(spec.smem_banks);
+    bank_words.assign(banks, 0);
+    std::uint32_t degree = 1; // an empty warp still issues one per phase
+    for (std::uint32_t w : words)
+        degree = std::max(degree, ++bank_words[w % banks]);
+    return std::uint64_t{phases} * degree;
 }
 
 double
@@ -44,6 +47,8 @@ expectedConflictMultiplier(const GpuSpec &spec,
 {
     vqllm_assert(!entry_weights.empty(), "no entries");
     vqllm_assert(entry_bytes > 0, "entry_bytes must be positive");
+    vqllm_assert(samples > 0, "samples must be positive");
+    vqllm_assert(spec.smem_banks > 0, "smem_banks must be positive");
     Rng rng(seed);
 
     // Precompute the popularity CDF once.

@@ -53,10 +53,10 @@ std::uint64_t warpTransactions(const GpuSpec &spec,
  * at index*entry_bytes.  The returned multiplier is
  * E[transactions] / word_phases, i.e. 1.0 means conflict-free.
  *
- * @param spec          GPU description
+ * @param spec          GPU description (smem_banks > 0)
  * @param entry_weights popularity of each entry resident in shared memory
  * @param entry_bytes   bytes per entry
- * @param samples       number of simulated warp accesses
+ * @param samples       number of simulated warp accesses (> 0)
  * @param seed          RNG seed (deterministic)
  */
 double expectedConflictMultiplier(const GpuSpec &spec,

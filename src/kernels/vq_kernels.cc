@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <tuple>
 
 #include "common/bitutils.h"
 #include "common/logging.h"
@@ -16,6 +17,32 @@ namespace vqllm::kernels {
 using engine::FusionLevel;
 using engine::KernelPlan;
 using engine::OptLevel;
+
+bool
+ConflictMemo::Key::operator<(const Key &o) const
+{
+    return std::tie(entry_bytes, samples, seed, warp_size, smem_banks,
+                    weights) < std::tie(o.entry_bytes, o.samples, o.seed,
+                                        o.warp_size, o.smem_banks,
+                                        o.weights);
+}
+
+double
+ConflictMemo::multiplier(const gpusim::GpuSpec &spec,
+                         std::vector<double> entry_weights,
+                         unsigned entry_bytes, int samples,
+                         std::uint64_t seed)
+{
+    Key key{std::move(entry_weights), entry_bytes, samples, seed,
+            spec.warp_size, spec.smem_banks};
+    auto it = entries_.find(key);
+    if (it == entries_.end()) {
+        double m = gpusim::expectedConflictMultiplier(
+            spec, key.weights, entry_bytes, samples, seed);
+        it = entries_.emplace(std::move(key), m).first;
+    }
+    return it->second;
+}
 
 TierFractions
 tierHitFractions(const cache::CachePlan &plan,
@@ -56,7 +83,7 @@ double
 sharedConflictMultiplier(const gpusim::GpuSpec &spec,
                          const cache::CachePlan &plan,
                          const vq::AccessHistogram *hist,
-                         const VqCostParams &params)
+                         const VqCostParams &params, ConflictMemo *memo)
 {
     std::size_t resident = plan.sharedEntries();
     if (resident == 0)
@@ -74,9 +101,14 @@ sharedConflictMultiplier(const gpusim::GpuSpec &spec,
     } else {
         weights.assign(resident, 1.0);
     }
-    return gpusim::expectedConflictMultiplier(
-        spec, weights, static_cast<unsigned>(plan.entry_bytes),
-        params.conflict_samples, params.conflict_seed);
+    const auto entry_bytes = static_cast<unsigned>(plan.entry_bytes);
+    if (memo)
+        return memo->multiplier(spec, std::move(weights), entry_bytes,
+                                params.conflict_samples,
+                                params.conflict_seed);
+    return gpusim::expectedConflictMultiplier(spec, weights, entry_bytes,
+                                              params.conflict_samples,
+                                              params.conflict_seed);
 }
 
 /** Extra integer work per lookup for index decode. */
@@ -95,7 +127,8 @@ void
 addCodebookCounters(gpusim::KernelCounters &c, const KernelPlan &plan,
                     const gpusim::GpuSpec &spec,
                     const vq::AccessHistogram *hist,
-                    const VqCostParams &params, std::uint64_t lookups,
+                    const VqCostParams &params, ConflictMemo *memo,
+                    std::uint64_t lookups,
                     std::uint64_t dequant_bytes,
                     std::uint64_t exchanged_subvectors)
 {
@@ -131,7 +164,7 @@ addCodebookCounters(gpusim::KernelCounters &c, const KernelPlan &plan,
         (static_cast<unsigned>(cfg.entryBytes()) + 3) / 4;
     std::uint64_t ideal = shared_lookups / spec.warp_size * phases;
     double mult = sharedConflictMultiplier(spec, plan.cache_plan, hist,
-                                           params);
+                                           params, memo);
     c.smem_ideal_transactions += ideal;
     c.smem_transactions += static_cast<std::uint64_t>(
         static_cast<double>(ideal) * mult);
@@ -163,7 +196,7 @@ addCodebookCounters(gpusim::KernelCounters &c, const KernelPlan &plan,
 KernelResult
 estimateVqWeightKernel(const gpusim::GpuSpec &spec, const KernelPlan &plan,
                        const vq::AccessHistogram *hist,
-                       const VqCostParams &params)
+                       const VqCostParams &params, ConflictMemo *memo)
 {
     vqllm_assert(plan.kind == engine::OpKind::GeMM ||
                      plan.kind == engine::OpKind::GeMV,
@@ -213,7 +246,7 @@ estimateVqWeightKernel(const gpusim::GpuSpec &spec, const KernelPlan &plan,
     // mainloop), but GeMM row blocks each re-dequantize their strips.
     std::uint64_t dequant_bytes =
         weight_elems * 2 * redequant;
-    addCodebookCounters(c, plan, spec, hist, params, lookups,
+    addCodebookCounters(c, plan, spec, hist, params, memo, lookups,
                         dequant_bytes, subvectors);
 
     gpusim::LaunchConfig launch;
@@ -227,7 +260,7 @@ KernelResult
 estimateVqAttentionKernel(const gpusim::GpuSpec &spec,
                           const KernelPlan &plan,
                           const vq::AccessHistogram *hist,
-                          const VqCostParams &params)
+                          const VqCostParams &params, ConflictMemo *memo)
 {
     vqllm_assert(plan.kind == engine::OpKind::AttentionDecode,
                  "attention estimate requires an attention plan");
@@ -259,8 +292,8 @@ estimateVqAttentionKernel(const gpusim::GpuSpec &spec,
     // consumption order (Fig. 6).
     std::uint64_t v_bytes = kv_elems / 2 * 2; // half the elements, FP16
     std::uint64_t v_subvectors = subvectors / 2;
-    addCodebookCounters(c, plan, spec, hist, params, lookups, v_bytes,
-                        v_subvectors);
+    addCodebookCounters(c, plan, spec, hist, params, memo, lookups,
+                        v_bytes, v_subvectors);
 
     // Baseline FlashDecoding dataflow keeps its own token-split
     // reduction pass (the codebook-centric one replaces it).

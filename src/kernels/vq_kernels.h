@@ -14,6 +14,9 @@
  */
 #pragma once
 
+#include <map>
+#include <vector>
+
 #include "engine/kernel_plan.h"
 #include "kernels/kernel_result.h"
 #include "tensor/tensor.h"
@@ -33,6 +36,47 @@ struct VqCostParams
     int conflict_samples = 256;
     /** Seed for the conflict estimate. */
     std::uint64_t conflict_seed = 0x5eedu;
+};
+
+/**
+ * Memo of shared-tier bank-conflict multipliers.
+ *
+ * gpusim::expectedConflictMultiplier reads only the shared slice's entry
+ * weights, the entry width, the sample count, the seed and the spec's
+ * warp width and bank count — never the GEMM or attention shape — so a
+ * stream of compiles sees a handful of distinct inputs.  The memo keys
+ * on every one of those inputs, so a hit returns exactly the value a
+ * fresh estimate would.  Not thread-safe: the owner serializes access
+ * (compiler::Engine holds its cache lock).
+ */
+class ConflictMemo
+{
+  public:
+    /** @return gpusim::expectedConflictMultiplier of these inputs,
+     *  computed on the first request and recalled afterwards. */
+    double multiplier(const gpusim::GpuSpec &spec,
+                      std::vector<double> entry_weights,
+                      unsigned entry_bytes, int samples,
+                      std::uint64_t seed);
+
+    /** @return distinct inputs computed so far. */
+    std::size_t size() const { return entries_.size(); }
+
+    void clear() { entries_.clear(); }
+
+  private:
+    struct Key
+    {
+        std::vector<double> weights;
+        unsigned entry_bytes;
+        int samples;
+        std::uint64_t seed;
+        int warp_size;
+        int smem_banks;
+
+        bool operator<(const Key &o) const;
+    };
+    std::map<Key, double> entries_;
 };
 
 /** Per-tier access shares implied by a cache plan. */
@@ -59,23 +103,28 @@ TierFractions tierHitFractions(const cache::CachePlan &plan,
  * @param spec target GPU
  * @param plan fully-resolved kernel plan (engine::planWeightKernel)
  * @param hist optional access histogram of one codebook
+ * @param memo optional conflict-multiplier memo; results are identical
+ *             with or without one
  */
 KernelResult estimateVqWeightKernel(const gpusim::GpuSpec &spec,
                                     const engine::KernelPlan &plan,
                                     const vq::AccessHistogram *hist =
                                         nullptr,
                                     const VqCostParams &params =
-                                        VqCostParams{});
+                                        VqCostParams{},
+                                    ConflictMemo *memo = nullptr);
 
 /**
  * Analytic estimate of a KV-cache-quantized decode-attention kernel.
+ * Parameters as for estimateVqWeightKernel.
  */
 KernelResult estimateVqAttentionKernel(const gpusim::GpuSpec &spec,
                                        const engine::KernelPlan &plan,
                                        const vq::AccessHistogram *hist =
                                            nullptr,
                                        const VqCostParams &params =
-                                           VqCostParams{});
+                                           VqCostParams{},
+                                       ConflictMemo *memo = nullptr);
 
 /** Outcome of a functional kernel execution. */
 struct FunctionalResult

@@ -3,9 +3,12 @@
  * Cache-key canonicalization tests: every plan-affecting input must
  * separate keys (histogram presence and contents, shuffle threshold,
  * tiling, GPU spec, level, shape, config), while equivalent spellings
- * of one request (attention kv_heads MHA default) must collide.
+ * of one request (attention kv_heads MHA default) must collide.  Golden
+ * strings pin the exact key bytes.
  */
 #include <gtest/gtest.h>
+
+#include <string>
 
 #include "compiler/engine.h"
 #include "vq/profiler.h"
@@ -162,6 +165,55 @@ TEST(CacheKey, GemmAndAttentionShapesDoNotLeakAcrossKinds)
     auto b = baseRequest();
     b.attn = engine::AttnShape{7, 7, 7, 7};
     EXPECT_EQ(eng.cacheKey(a), eng.cacheKey(b));
+}
+
+// The engine-constant part of every key on a default RTX 4090 engine:
+// planning policy, then every GpuSpec field in declaration order.
+const std::string kRtx4090Suffix =
+    "|thr=5|tile=128,64,4,256|spec=RTX 4090/128/102400/101376/65536/"
+    "1536/24/255/32/32/128/256/1008/0.82/2.52/165.2/82.6/128/128/560/"
+    "29/6/32/3";
+
+TEST(CacheKey, GoldenGemvWithoutHistogram)
+{
+    Engine eng(gpusim::rtx4090());
+    EXPECT_EQ(eng.cacheKey(baseRequest()),
+              "op=GeMV|shape=1,4096,4096|cfg=GPTVQ-2/4/256/1/1/0/256"
+              "|lvl=O4" +
+                  kRtx4090Suffix + "|hist=none");
+}
+
+TEST(CacheKey, GoldenGemmWithHistogram)
+{
+    Engine eng(gpusim::rtx4090());
+    auto hist = vq::syntheticZipfHistogram(256);
+    auto request = KernelRequest::gemmOp({16, 11008, 4096}, vq::quip4(),
+                                         OptLevel::O2, &hist);
+    const std::string golden =
+        "op=GeMM|shape=16,11008,4096|cfg=QuiP#-4/8/65536/2/0/1/256"
+        "|lvl=O2" +
+        kRtx4090Suffix + "|hist=256:24a7b8c8849b3cf2";
+    EXPECT_EQ(eng.cacheKey(request), golden);
+    // The precomputed-digest path spells the same key.
+    request.histogram_digest = histogramDigest(hist);
+    EXPECT_EQ(eng.cacheKey(request), golden);
+}
+
+TEST(CacheKey, GoldenAttentionKvHeads)
+{
+    Engine eng(gpusim::rtx4090());
+    // kv_heads 0 spells out the MHA default (32 heads).
+    EXPECT_EQ(eng.cacheKey(KernelRequest::attentionOp(
+                  {8, 32, 4096, 128}, vq::cq2(), OptLevel::O3)),
+              "op=Attention(Decode)|shape=8,32,4096,128,32"
+              "|cfg=CQ-2/4/256/1/2/0/256|lvl=O3" +
+                  kRtx4090Suffix + "|hist=none");
+    // Explicit GQA kv_heads.
+    EXPECT_EQ(eng.cacheKey(KernelRequest::attentionOp(
+                  {8, 32, 4096, 128, 8}, vq::cq4(), OptLevel::GC)),
+              "op=Attention(Decode)|shape=8,32,4096,128,8"
+              "|cfg=CQ-4/2/256/1/2/0/256|lvl=GC" +
+                  kRtx4090Suffix + "|hist=none");
 }
 
 } // namespace

@@ -4,8 +4,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <numeric>
+#include <set>
 
+#include "common/rng.h"
 #include "gpusim/bank_conflict.h"
 
 namespace vqllm::gpusim {
@@ -18,6 +22,32 @@ sequentialAddrs(int lanes, std::uint32_t stride_bytes)
     for (int i = 0; i < lanes; ++i)
         addrs[i] = static_cast<std::uint32_t>(i) * stride_bytes;
     return addrs;
+}
+
+/**
+ * The original per-phase bank -> set-of-words formulation, kept as the
+ * reference the flat-count implementation must match exactly.
+ */
+std::uint64_t
+referenceWarpTransactions(const GpuSpec &spec,
+                          const std::vector<std::uint32_t> &lane_byte_addrs,
+                          unsigned bytes_per_lane)
+{
+    const unsigned word = 4;
+    unsigned phases = (bytes_per_lane + word - 1) / word;
+    std::uint64_t total = 0;
+    for (unsigned p = 0; p < phases; ++p) {
+        std::map<std::uint32_t, std::set<std::uint32_t>> bank_words;
+        for (std::uint32_t addr : lane_byte_addrs) {
+            std::uint32_t w = addr / word + p;
+            bank_words[w % spec.smem_banks].insert(w);
+        }
+        std::size_t degree = 0;
+        for (const auto &[bank, words] : bank_words)
+            degree = std::max(degree, words.size());
+        total += degree == 0 ? 1 : degree;
+    }
+    return total;
 }
 
 TEST(BankConflict, UnitStrideIsConflictFree)
@@ -118,6 +148,62 @@ TEST(BankConflict, DeterministicForSeed)
     double a = expectedConflictMultiplier(spec, 256, 8, 256, 99);
     double b = expectedConflictMultiplier(spec, 256, 8, 256, 99);
     EXPECT_DOUBLE_EQ(a, b);
+}
+
+TEST(BankConflict, FlatCountsMatchReferenceOnRandomWarps)
+{
+    GpuSpec wide = rtx4090();
+    wide.warp_size = 64;
+    GpuSpec few_banks = rtx4090();
+    few_banks.smem_banks = 16;
+    const GpuSpec *specs[] = {&rtx4090(), &wide, &few_banks};
+    Rng rng(0xba4c);
+    int checked = 0;
+    for (const GpuSpec *spec : specs) {
+        for (int trial = 0; trial < 400; ++trial) {
+            // Full and partial warps (empty included), over a small
+            // address range (heavy word sharing) or a wide one.
+            std::size_t lanes = trial % 4 == 0
+                                    ? spec->warp_size
+                                    : rng.uniformInt(spec->warp_size + 1);
+            std::uint64_t range = trial % 2 == 0 ? 64 : 1u << 20;
+            std::vector<std::uint32_t> addrs(lanes);
+            for (auto &a : addrs)
+                a = static_cast<std::uint32_t>(rng.uniformInt(range));
+            // Broadcasts: copy some lanes' addresses onto others.
+            if (trial % 3 == 0)
+                for (std::size_t i = 1; i < lanes; i += 2)
+                    addrs[i] = addrs[rng.uniformInt(i)];
+            for (unsigned bytes = 1; bytes <= 32; ++bytes) {
+                ASSERT_EQ(warpTransactions(*spec, addrs, bytes),
+                          referenceWarpTransactions(*spec, addrs, bytes))
+                    << "warp " << spec->warp_size << " banks "
+                    << spec->smem_banks << " lanes " << lanes
+                    << " bytes " << bytes << " trial " << trial;
+                ++checked;
+            }
+        }
+    }
+    EXPECT_EQ(checked, 3 * 400 * 32);
+}
+
+TEST(BankConflict, EmptyWarpCostsOnePerPhase)
+{
+    EXPECT_EQ(warpTransactions(rtx4090(), {}, 12), 3u);
+}
+
+TEST(BankConflictDeathTest, MultiplierRejectsZeroSamples)
+{
+    EXPECT_DEATH(expectedConflictMultiplier(rtx4090(), 256, 8, 0),
+                 "samples must be positive");
+}
+
+TEST(BankConflictDeathTest, MultiplierRejectsZeroBanks)
+{
+    GpuSpec no_banks = rtx4090();
+    no_banks.smem_banks = 0;
+    EXPECT_DEATH(expectedConflictMultiplier(no_banks, 256, 8),
+                 "smem_banks must be positive");
 }
 
 } // namespace
