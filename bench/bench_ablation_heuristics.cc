@@ -25,7 +25,7 @@ main()
     const auto &spec = gpusim::rtx4090();
     auto shapes = llama7b();
     const auto &hist = sampleHistogram(vq::cq2(), /*kv=*/true);
-    auto &eng = engineFor(spec);
+    compiler::Engine eng(spec);
 
     // ---- 1. split-factor sweep --------------------------------------
     std::printf("Ablation 1: dataflow split factor (CQ-2 attention, "

@@ -57,18 +57,17 @@ formatRatio(double value, double baseline)
 }
 
 kernels::KernelResult
-attnAtLevel(const gpusim::GpuSpec &spec, const engine::AttnShape &shape,
+attnAtLevel(compiler::Engine &eng, const engine::AttnShape &shape,
             const vq::VQConfig &cfg, engine::OptLevel level)
 {
     const auto &hist = sampleHistogram(cfg, /*kv=*/true);
-    return engineFor(spec)
-        .compile(compiler::KernelRequest::attentionOp(shape, cfg, level,
-                                                      &hist))
+    return eng.compile(compiler::KernelRequest::attentionOp(shape, cfg,
+                                                            level, &hist))
         ->estimate();
 }
 
 kernels::KernelResult
-weightAtLevel(const gpusim::GpuSpec &spec, engine::OpKind kind,
+weightAtLevel(compiler::Engine &eng, engine::OpKind kind,
               const engine::GemmShape &shape, const vq::VQConfig &cfg,
               engine::OptLevel level)
 {
@@ -77,7 +76,7 @@ weightAtLevel(const gpusim::GpuSpec &spec, engine::OpKind kind,
         kind == engine::OpKind::GeMM
             ? compiler::KernelRequest::gemmOp(shape, cfg, level, &hist)
             : compiler::KernelRequest::gemvOp(shape, cfg, level, &hist);
-    return engineFor(spec).compile(request)->estimate();
+    return eng.compile(request)->estimate();
 }
 
 /** Levels the adaptive selection searches (O1..O4). */
@@ -86,19 +85,18 @@ static const std::vector<engine::OptLevel> kBestLevels = {
     engine::OptLevel::O4};
 
 kernels::KernelResult
-bestAttn(const gpusim::GpuSpec &spec, const engine::AttnShape &shape,
+bestAttn(compiler::Engine &eng, const engine::AttnShape &shape,
          const vq::VQConfig &cfg)
 {
     const auto &hist = sampleHistogram(cfg, /*kv=*/true);
-    return engineFor(spec)
-        .compileBest(compiler::KernelRequest::attentionOp(
-                         shape, cfg, engine::OptLevel::O4, &hist),
-                     kBestLevels)
+    return eng.compileBest(compiler::KernelRequest::attentionOp(
+                               shape, cfg, engine::OptLevel::O4, &hist),
+                           kBestLevels)
         ->estimate();
 }
 
 kernels::KernelResult
-bestWeight(const gpusim::GpuSpec &spec, engine::OpKind kind,
+bestWeight(compiler::Engine &eng, engine::OpKind kind,
            const engine::GemmShape &shape, const vq::VQConfig &cfg)
 {
     const auto &hist = sampleHistogram(cfg, /*kv=*/false);
@@ -107,7 +105,7 @@ bestWeight(const gpusim::GpuSpec &spec, engine::OpKind kind,
                              shape, cfg, engine::OptLevel::O4, &hist)
                        : compiler::KernelRequest::gemvOp(
                              shape, cfg, engine::OptLevel::O4, &hist);
-    return engineFor(spec).compileBest(request, kBestLevels)->estimate();
+    return eng.compileBest(request, kBestLevels)->estimate();
 }
 
 } // namespace vqllm::bench

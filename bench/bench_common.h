@@ -19,17 +19,6 @@
 namespace vqllm::bench {
 
 /**
- * Process-wide compile engine for a GPU spec: all bench harness
- * helpers plan/cost through this facade, so a figure sweeping many
- * levels against one shape pays each compile once.
- */
-inline compiler::Engine &
-engineFor(const gpusim::GpuSpec &spec)
-{
-    return compiler::Engine::shared(spec);
-}
-
-/**
  * Build a realistic access histogram for a VQ config by quantizing a
  * synthetic clustered sample and profiling its indices (the offline
  * profiling phase of the codebook cache).  Results are memoized per
@@ -78,25 +67,27 @@ llama65b()
 /** Format a latency ratio like the paper's relative plots. */
 std::string formatRatio(double value, double baseline);
 
-/** Plan + estimate a VQ attention kernel at one optimization level. */
-kernels::KernelResult attnAtLevel(const gpusim::GpuSpec &spec,
+/** Plan + estimate a VQ attention kernel at one optimization level
+ *  (the helpers below compile through the caller's `eng`, so a figure
+ *  sweeping many levels against one shape pays each compile once). */
+kernels::KernelResult attnAtLevel(compiler::Engine &eng,
                                   const engine::AttnShape &shape,
                                   const vq::VQConfig &cfg,
                                   engine::OptLevel level);
 
 /** Plan + estimate a VQ weight kernel at one optimization level. */
-kernels::KernelResult weightAtLevel(const gpusim::GpuSpec &spec,
+kernels::KernelResult weightAtLevel(compiler::Engine &eng,
                                     engine::OpKind kind,
                                     const engine::GemmShape &shape,
                                     const vq::VQConfig &cfg,
                                     engine::OptLevel level);
 
 /** @return the best (lowest-latency) level of the O1..O4 ladder. */
-kernels::KernelResult bestAttn(const gpusim::GpuSpec &spec,
+kernels::KernelResult bestAttn(compiler::Engine &eng,
                                const engine::AttnShape &shape,
                                const vq::VQConfig &cfg);
 
-kernels::KernelResult bestWeight(const gpusim::GpuSpec &spec,
+kernels::KernelResult bestWeight(compiler::Engine &eng,
                                  engine::OpKind kind,
                                  const engine::GemmShape &shape,
                                  const vq::VQConfig &cfg);

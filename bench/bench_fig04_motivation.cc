@@ -28,7 +28,7 @@ main()
     auto fp16 = kernels::fp16AttentionEstimate(
         spec, shape, kernels::AttnVariant::FlashDecoding);
 
-    auto &eng = engineFor(spec);
+    compiler::Engine eng(spec);
     auto kernel_gc = eng.compile(compiler::KernelRequest::attentionOp(
         shape, cfg, engine::OptLevel::GC, &hist));
     auto kernel_sc = eng.compile(compiler::KernelRequest::attentionOp(

@@ -16,21 +16,21 @@ using namespace vqllm::bench;
 namespace {
 
 double
-weightReduction(const gpusim::GpuSpec &spec, engine::OpKind kind,
+weightReduction(compiler::Engine &eng, engine::OpKind kind,
                 const engine::GemmShape &shape, const vq::VQConfig &cfg)
 {
-    auto gc = weightAtLevel(spec, kind, shape, cfg,
+    auto gc = weightAtLevel(eng, kind, shape, cfg,
                             engine::OptLevel::GC);
-    auto best = bestWeight(spec, kind, shape, cfg);
+    auto best = bestWeight(eng, kind, shape, cfg);
     return 1.0 - best.us() / gc.us();
 }
 
 double
-attnReduction(const gpusim::GpuSpec &spec,
+attnReduction(compiler::Engine &eng,
               const engine::AttnShape &shape, const vq::VQConfig &cfg)
 {
-    auto gc = attnAtLevel(spec, shape, cfg, engine::OptLevel::GC);
-    auto best = bestAttn(spec, shape, cfg);
+    auto gc = attnAtLevel(eng, shape, cfg, engine::OptLevel::GC);
+    auto best = bestAttn(eng, shape, cfg);
     return 1.0 - best.us() / gc.us();
 }
 
@@ -40,6 +40,7 @@ int
 main()
 {
     const auto &spec = gpusim::rtx4090();
+    compiler::Engine eng(spec);
     std::printf("Fig. 13: latency reduction of the best version vs the "
                 "un-optimized (GC) version (%s)\n\n", spec.name.c_str());
 
@@ -62,7 +63,7 @@ main()
             std::vector<std::string> row = {c.name};
             for (const auto &cfg :
                  {vq::quip4(), vq::aqlm3(), vq::gptvq2()}) {
-                double red = weightReduction(spec, c.kind,
+                double red = weightReduction(eng, c.kind,
                                              shapes.gemm(c.m), cfg);
                 sum += red;
                 ++count;
@@ -79,7 +80,7 @@ main()
                 std::to_string(seq / 1024) + "k"};
             for (std::size_t bs : {1u, 8u}) {
                 double red = attnReduction(
-                    spec, shapes.attention(bs, seq), vq::cq2());
+                    eng, shapes.attention(bs, seq), vq::cq2());
                 sum += red;
                 ++count;
                 row.push_back(formatPercent(red, 1));

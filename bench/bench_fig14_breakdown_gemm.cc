@@ -14,7 +14,7 @@ using namespace vqllm::bench;
 namespace {
 
 void
-printBreakdown(const gpusim::GpuSpec &spec, engine::OpKind kind,
+printBreakdown(compiler::Engine &eng, engine::OpKind kind,
                const engine::GemmShape &shape, const char *title)
 {
     std::printf("%s (m=%zu, n=%zu, k=%zu)\n\n", title, shape.m, shape.n,
@@ -27,7 +27,7 @@ printBreakdown(const gpusim::GpuSpec &spec, engine::OpKind kind,
         double gc_us = 0, best = 1e30;
         engine::OptLevel best_level = engine::OptLevel::O1;
         for (auto level : engine::kAllOptLevels) {
-            auto r = weightAtLevel(spec, kind, shape, cfg, level);
+            auto r = weightAtLevel(eng, kind, shape, cfg, level);
             if (level == engine::OptLevel::GC)
                 gc_us = r.us();
             if (level >= engine::OptLevel::O1 && r.us() < best) {
@@ -49,15 +49,16 @@ int
 main()
 {
     const auto &spec = gpusim::rtx4090();
+    compiler::Engine eng(spec);
     auto shapes = llama7b();
 
     std::printf("Fig. 14: optimization breakdown, latency in us "
                 "(Llama-7B, %s)\n\n", spec.name.c_str());
-    printBreakdown(spec, engine::OpKind::GeMM, shapes.gemm(4096),
+    printBreakdown(eng, engine::OpKind::GeMM, shapes.gemm(4096),
                    "GeMM (prefill-scale batch)");
-    printBreakdown(spec, engine::OpKind::GeMV, shapes.gemm(1),
+    printBreakdown(eng, engine::OpKind::GeMV, shapes.gemm(1),
                    "GeMV BS1");
-    printBreakdown(spec, engine::OpKind::GeMV, shapes.gemm(16),
+    printBreakdown(eng, engine::OpKind::GeMV, shapes.gemm(16),
                    "GeMV BS16");
 
     std::printf(

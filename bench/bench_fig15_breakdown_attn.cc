@@ -15,6 +15,7 @@ int
 main()
 {
     const auto &spec = gpusim::rtx4090();
+    compiler::Engine eng(spec);
     auto shapes = llama7b();
     struct Case
     {
@@ -37,7 +38,7 @@ main()
         std::vector<std::string> row = {c.name};
         double gc_us = 0, best = 1e30;
         for (auto level : engine::kAllOptLevels) {
-            auto r = attnAtLevel(spec, shape, vq::cq2(), level);
+            auto r = attnAtLevel(eng, shape, vq::cq2(), level);
             if (level == engine::OptLevel::GC)
                 gc_us = r.us();
             if (level >= engine::OptLevel::O1)
@@ -57,8 +58,8 @@ main()
     TextTable right({"case", "CQ-2 (us)", "CQ-4 (us)", "CQ-4/CQ-2"});
     for (const auto &c : cases) {
         auto shape = shapes.attention(c.batch, c.seq);
-        auto cq2_best = bestAttn(spec, shape, vq::cq2());
-        auto cq4_best = bestAttn(spec, shape, vq::cq4());
+        auto cq2_best = bestAttn(eng, shape, vq::cq2());
+        auto cq4_best = bestAttn(eng, shape, vq::cq4());
         right.addRow({c.name, formatDouble(cq2_best.us(), 1),
                       formatDouble(cq4_best.us(), 1),
                       formatRatio(cq4_best.us(), cq2_best.us())});

@@ -17,6 +17,7 @@ int
 main()
 {
     const auto &spec = gpusim::rtx4090();
+    compiler::Engine eng(spec);
     auto shapes = llama7b();
 
     // ---- GeMM ----------------------------------------------------------
@@ -33,10 +34,10 @@ main()
                   formatRatio(cutlass.us(), awq.us())});
         for (const auto &cfg : {vq::quip4(), vq::gptvq2()}) {
             auto best =
-                bestWeight(spec, engine::OpKind::GeMM, shape, cfg);
+                bestWeight(eng, engine::OpKind::GeMM, shape, cfg);
             t.addRow({cfg.name, formatDouble(best.us(), 1),
                       formatRatio(best.us(), awq.us())});
-            auto open = weightAtLevel(spec, engine::OpKind::GeMM, shape,
+            auto open = weightAtLevel(eng, engine::OpKind::GeMM, shape,
                                       cfg, engine::OptLevel::GC);
             t.addRow({cfg.name + std::string("* (open source)"),
                       formatDouble(open.us(), 1),
@@ -57,10 +58,10 @@ main()
                   formatRatio(cutlass.us(), awq.us())});
         for (const auto &cfg : {vq::quip4(), vq::gptvq2()}) {
             auto best =
-                bestWeight(spec, engine::OpKind::GeMV, shape, cfg);
+                bestWeight(eng, engine::OpKind::GeMV, shape, cfg);
             t.addRow({cfg.name, formatDouble(best.us(), 1),
                       formatRatio(best.us(), awq.us())});
-            auto open = weightAtLevel(spec, engine::OpKind::GeMV, shape,
+            auto open = weightAtLevel(eng, engine::OpKind::GeMV, shape,
                                       cfg, engine::OptLevel::GC);
             t.addRow({cfg.name + std::string("* (open source)"),
                       formatDouble(open.us(), 1),
@@ -82,11 +83,11 @@ main()
         t.addRow({"Flash-16", formatDouble(flash.us(), 1),
                   formatRatio(flash.us(), qoq.us())});
         for (const auto &cfg : {vq::cq4(), vq::cq2()}) {
-            auto best = bestAttn(spec, shape, cfg);
+            auto best = bestAttn(eng, shape, cfg);
             t.addRow({cfg.name, formatDouble(best.us(), 1),
                       formatRatio(best.us(), qoq.us())});
         }
-        auto open = attnAtLevel(spec, shape, vq::cq4(),
+        auto open = attnAtLevel(eng, shape, vq::cq4(),
                                 engine::OptLevel::GC);
         t.addRow({"CQ-4 (GC, open-source class)",
                   formatDouble(open.us(), 1),

@@ -18,6 +18,7 @@ int
 main()
 {
     const auto &spec = gpusim::rtx4090();
+    compiler::Engine eng(spec);
     auto shapes = llama7b();
 
     std::printf("Fig. 18: FP16 attention baselines relative to VQ-LLM "
@@ -36,7 +37,7 @@ main()
                      "Paged Flash Attn", "best-FP16 reduction"});
         for (std::size_t seq : {1024u, 2048u, 4096u}) {
             auto shape = shapes.attention(bs, seq);
-            auto vq_best = bestAttn(spec, shape, vq::cq4());
+            auto vq_best = bestAttn(eng, shape, vq::cq4());
             std::vector<std::string> row = {
                 std::to_string(seq / 1024) + "k",
                 formatDouble(vq_best.us(), 1)};

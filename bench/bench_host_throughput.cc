@@ -117,6 +117,7 @@ main()
                 simd::activeIsa());
 
     std::vector<WorkloadResult> results;
+    compiler::Engine compile_engine(gpusim::rtx4090());
 
     // -------------------------------------------------- functional GEMM
     for (std::size_t n : {256, 1024}) {
@@ -125,10 +126,9 @@ main()
         Rng rng(13);
         Tensor<float> x({m, k});
         fillNormal(x, rng);
-        auto kernel = bench::engineFor(gpusim::rtx4090())
-                          .compile(compiler::KernelRequest::gemmOp(
-                              {m, n, k}, qt.config,
-                              engine::OptLevel::O2));
+        auto kernel =
+            compile_engine.compile(compiler::KernelRequest::gemmOp(
+                {m, n, k}, qt.config, engine::OptLevel::O2));
         results.push_back(measure(
             "vq_gemm_n" + std::to_string(n) + "_k512_m16",
             static_cast<double>(n), "rows/s", 3,
@@ -151,10 +151,9 @@ main()
         vq::reorderByFrequency(qt_v);
         Tensor<float> q({heads, channels});
         fillNormal(q, rng);
-        auto kernel = bench::engineFor(gpusim::rtx4090())
-                          .compile(compiler::KernelRequest::attentionOp(
-                              {1, heads, tokens, channels}, cfg,
-                              engine::OptLevel::O2));
+        auto kernel =
+            compile_engine.compile(compiler::KernelRequest::attentionOp(
+                {1, heads, tokens, channels}, cfg, engine::OptLevel::O2));
         results.push_back(measure(
             "vq_attention_t512_h8_c64", static_cast<double>(tokens),
             "tokens/s", 3,

@@ -20,7 +20,7 @@ main()
                 "optimizations (Llama-7B shapes)\n\n");
 
     TextTable t({"item", "QuiP#-4", "AQLM-3", "GPTVQ-2", "CQ-2"});
-    auto &eng = engineFor(spec);
+    compiler::Engine eng(spec);
 
     std::vector<vq::VQConfig> cfgs = {vq::quip4(), vq::aqlm3(),
                                       vq::gptvq2(), vq::cq2()};

@@ -25,20 +25,24 @@
  * prefill role and the rest decode; prefill replicas stream each
  * finished sequence's KV cache to the least-loaded decode replica over
  * the handoff link.  A 1-replica aggregated fleet reproduces
- * serving_sim's report bit-identically.  Unrecognized arguments are a
- * hard error.
+ * serving_sim's report bit-identically.  Unrecognized flags and bad
+ * values end in one usage line on stderr and exit status 2.
  */
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <string>
 
+#include "common/cli.h"
 #include "common/logging.h"
 #include "fleet/fleet.h"
 #include "obs/metrics.h"
 #include "serving/simulator.h"
 
 using namespace vqllm;
+using cli::kNonNegative;
+using cli::kPositive;
 
 namespace {
 
@@ -86,30 +90,23 @@ const char kUsage[] =
 [[noreturn]] void
 usageError(const std::string &message)
 {
-    std::fprintf(stderr, "fleet_sim: %s\n%s", message.c_str(), kUsage);
-    std::exit(2);
+    cli::usageError("fleet_sim", message);
 }
 
-const llm::LlamaConfig &
-modelByName(const std::string &name)
+/** Numeric flag values: bad input is a usage error (exit 2). */
+double
+number(const std::string &flag, const std::string &token,
+       const cli::Range &range)
 {
-    if (name == "7b")
-        return llm::llama7b();
-    if (name == "65b")
-        return llm::llama65b();
-    if (name == "70b")
-        return llm::llama70b();
-    vqllm_fatal("unknown model '", name, "' (expected 7b|65b|70b)");
+    return cli::doubleFlag("fleet_sim", flag, token, range);
 }
 
-const gpusim::GpuSpec &
-gpuByName(const std::string &name)
+std::size_t
+count(const std::string &flag, const std::string &token,
+      std::uint64_t min = 0)
 {
-    if (name == "4090")
-        return gpusim::rtx4090();
-    if (name == "a40")
-        return gpusim::teslaA40();
-    vqllm_fatal("unknown gpu '", name, "' (expected 4090|a40)");
+    return cli::unsignedFlag("fleet_sim", flag, token, min,
+                             std::numeric_limits<std::size_t>::max());
 }
 
 bool
@@ -152,9 +149,7 @@ main(int argc, char **argv)
             return argv[++i];
         };
         if (flag == "--replicas") {
-            replicas = std::stoul(value());
-            if (replicas == 0)
-                usageError("--replicas must be >= 1");
+            replicas = count(flag, value(), 1);
         } else if (flag == "--router") {
             std::string v = value();
             auto p = fleet::parseRouterPolicy(v);
@@ -165,44 +160,45 @@ main(int argc, char **argv)
         } else if (flag == "--disaggregated") {
             disaggregated = parseOnOff(flag, value());
         } else if (flag == "--prefill-replicas") {
-            prefill_replicas = std::stoul(value());
+            prefill_replicas = count(flag, value());
         } else if (flag == "--scheme") {
             if (!llm::parseQuantScheme(value(), &sim.scheme))
-                vqllm_fatal("unknown scheme (fp16|ewq4|vq4|vq2)");
+                usageError("--scheme expects fp16|ewq4|vq4|vq2");
         } else if (flag == "--kv-scheme") {
             llm::KvScheme kv;
             if (!llm::parseKvScheme(value(), &kv))
-                vqllm_fatal("unknown KV scheme (fp16|int4|vq4|vq2)");
+                usageError("--kv-scheme expects fp16|int4|vq4|vq2");
             sim.kv_scheme = kv;
         } else if (flag == "--model") {
-            sim.model = &modelByName(value());
+            sim.model = llm::modelByName(value());
+            if (sim.model == nullptr)
+                usageError("--model expects 7b|65b|70b");
         } else if (flag == "--gpu") {
-            sim.spec = &gpuByName(value());
+            sim.spec = llm::gpuByName(value());
+            if (sim.spec == nullptr)
+                usageError("--gpu expects 4090|a40");
         } else if (flag == "--tp-degree") {
-            sim.tp.degree = std::stoi(value());
-            if (sim.tp.degree < 1)
-                usageError("--tp-degree must be >= 1");
+            sim.tp.degree = static_cast<int>(cli::unsignedFlag(
+                "fleet_sim", flag, value(), 1,
+                std::numeric_limits<int>::max()));
         } else if (flag == "--hbm-gb") {
-            sim.hbm_gb = std::stod(value());
+            sim.hbm_gb = number(flag, value(), kPositive);
             hbm_set = true;
         } else if (flag == "--chunk-tokens") {
-            sim.scheduler.chunk_tokens = std::stoul(value());
+            sim.scheduler.chunk_tokens = count(flag, value());
         } else if (flag == "--max-batch") {
-            sim.scheduler.max_batch = std::stoul(value());
+            sim.scheduler.max_batch = count(flag, value(), 1);
         } else if (flag == "--handoff-gbps") {
-            cfg.handoff_link.link_bw_gbps = std::stod(value());
-            if (cfg.handoff_link.link_bw_gbps <= 0)
-                usageError("--handoff-gbps must be > 0");
+            cfg.handoff_link.link_bw_gbps = number(flag, value(), kPositive);
         } else if (flag == "--handoff-latency-us") {
-            cfg.handoff_link.collective_latency_us = std::stod(value());
-            if (cfg.handoff_link.collective_latency_us < 0)
-                usageError("--handoff-latency-us must be >= 0");
+            cfg.handoff_link.collective_latency_us =
+                number(flag, value(), kNonNegative);
         } else if (flag == "--qps") {
-            cfg.workload.qps = std::stod(value());
+            cfg.workload.qps = number(flag, value(), kPositive);
         } else if (flag == "--duration") {
-            cfg.workload.duration_s = std::stod(value());
+            cfg.workload.duration_s = number(flag, value(), kNonNegative);
         } else if (flag == "--seed") {
-            cfg.workload.seed = std::stoull(value());
+            cfg.workload.seed = cli::unsignedFlag("fleet_sim", flag, value());
         } else if (flag == "--arrival") {
             std::string v = value();
             auto p = serving::parseArrivalPattern(v);
@@ -211,23 +207,22 @@ main(int argc, char **argv)
                            "got '" + v + "'");
             cfg.workload.arrival = *p;
         } else if (flag == "--burst-period") {
-            cfg.workload.burst_period_s = std::stod(value());
+            cfg.workload.burst_period_s = number(flag, value(), kPositive);
         } else if (flag == "--burst-duty") {
-            cfg.workload.burst_duty = std::stod(value());
+            cfg.workload.burst_duty = number(flag, value(), {0, 1, true, true});
         } else if (flag == "--burst-peak") {
-            cfg.workload.burst_peak = std::stod(value());
+            cfg.workload.burst_peak = number(flag, value(), {1});
         } else if (flag == "--diurnal-period") {
-            cfg.workload.diurnal_period_s = std::stod(value());
+            cfg.workload.diurnal_period_s = number(flag, value(), kPositive);
         } else if (flag == "--diurnal-amplitude") {
-            cfg.workload.diurnal_amplitude = std::stod(value());
+            cfg.workload.diurnal_amplitude =
+                number(flag, value(), {0, 1, false, true});
         } else if (flag == "--prompt-median") {
-            cfg.workload.prompt_len_median = std::stoul(value());
+            cfg.workload.prompt_len_median = count(flag, value());
         } else if (flag == "--prefix-groups") {
-            cfg.workload.prefix_groups = std::stoul(value());
+            cfg.workload.prefix_groups = count(flag, value());
         } else if (flag == "--prefix-tokens") {
-            cfg.workload.prefix_tokens = std::stoul(value());
-            if (cfg.workload.prefix_tokens == 0)
-                usageError("--prefix-tokens must be > 0");
+            cfg.workload.prefix_tokens = count(flag, value(), 1);
         } else if (flag == "--prefix-cache") {
             sim.prefix_cache = parseOnOff(flag, value());
         } else if (flag == "--trace-out") {

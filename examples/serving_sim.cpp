@@ -24,25 +24,30 @@
  * pools and per-layer ring all-reduces when --tp-degree > 1), and
  * reports TTFT/TBT/E2E percentiles, sustained tokens/sec, the KV
  * high-water mark and codebook residency statistics.  Deterministic
- * in --seed.  Unrecognized arguments are a hard error.
+ * in --seed.  Unrecognized flags and bad values end in one usage line
+ * on stderr and exit status 2.
  *
  * --trace-out writes a Chrome trace-event JSON timeline of the run
  * (open in https://ui.perfetto.dev or chrome://tracing);
  * --metrics-json writes the full report plus the metrics registry as
  * JSON.  Neither flag changes the simulation or the report.
  */
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
+#include "common/cli.h"
 #include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serving/simulator.h"
 
 using namespace vqllm;
+using cli::kNonNegative;
+using cli::kPositive;
 
 namespace {
 
@@ -92,30 +97,23 @@ const char kUsage[] =
 [[noreturn]] void
 usageError(const std::string &message)
 {
-    std::fprintf(stderr, "serving_sim: %s\n%s", message.c_str(), kUsage);
-    std::exit(2);
+    cli::usageError("serving_sim", message);
 }
 
-const llm::LlamaConfig &
-modelByName(const std::string &name)
+/** Numeric flag values: bad input is a usage error (exit 2). */
+double
+number(const std::string &flag, const std::string &token,
+       const cli::Range &range)
 {
-    if (name == "7b")
-        return llm::llama7b();
-    if (name == "65b")
-        return llm::llama65b();
-    if (name == "70b")
-        return llm::llama70b();
-    vqllm_fatal("unknown model '", name, "' (expected 7b|65b|70b)");
+    return cli::doubleFlag("serving_sim", flag, token, range);
 }
 
-const gpusim::GpuSpec &
-gpuByName(const std::string &name)
+std::size_t
+count(const std::string &flag, const std::string &token,
+      std::uint64_t min = 0)
 {
-    if (name == "4090")
-        return gpusim::rtx4090();
-    if (name == "a40")
-        return gpusim::teslaA40();
-    vqllm_fatal("unknown gpu '", name, "' (expected 4090|a40)");
+    return cli::unsignedFlag("serving_sim", flag, token, min,
+                             std::numeric_limits<std::size_t>::max());
 }
 
 } // namespace
@@ -141,22 +139,26 @@ main(int argc, char **argv)
         };
         if (flag == "--scheme") {
             if (!llm::parseQuantScheme(value(), &cfg.scheme))
-                vqllm_fatal("unknown scheme (fp16|ewq4|vq4|vq2)");
+                usageError("--scheme expects fp16|ewq4|vq4|vq2");
         } else if (flag == "--kv-scheme") {
             llm::KvScheme kv;
             if (!llm::parseKvScheme(value(), &kv))
-                vqllm_fatal("unknown KV scheme (fp16|int4|vq4|vq2)");
+                usageError("--kv-scheme expects fp16|int4|vq4|vq2");
             cfg.kv_scheme = kv;
         } else if (flag == "--model") {
-            cfg.model = &modelByName(value());
+            cfg.model = llm::modelByName(value());
+            if (cfg.model == nullptr)
+                usageError("--model expects 7b|65b|70b");
         } else if (flag == "--gpu") {
-            cfg.spec = &gpuByName(value());
+            cfg.spec = llm::gpuByName(value());
+            if (cfg.spec == nullptr)
+                usageError("--gpu expects 4090|a40");
         } else if (flag == "--qps") {
-            cfg.workload.qps = std::stod(value());
+            cfg.workload.qps = number(flag, value(), kPositive);
         } else if (flag == "--duration") {
-            cfg.workload.duration_s = std::stod(value());
+            cfg.workload.duration_s = number(flag, value(), kNonNegative);
         } else if (flag == "--seed") {
-            cfg.workload.seed = std::stoull(value());
+            cfg.workload.seed = cli::unsignedFlag("serving_sim", flag, value());
         } else if (flag == "--arrival") {
             std::string v = value();
             auto p = serving::parseArrivalPattern(v);
@@ -165,53 +167,49 @@ main(int argc, char **argv)
                            "got '" + v + "'");
             cfg.workload.arrival = *p;
         } else if (flag == "--burst-period") {
-            cfg.workload.burst_period_s = std::stod(value());
+            cfg.workload.burst_period_s = number(flag, value(), kPositive);
         } else if (flag == "--burst-duty") {
-            cfg.workload.burst_duty = std::stod(value());
+            cfg.workload.burst_duty = number(flag, value(), {0, 1, true, true});
         } else if (flag == "--burst-peak") {
-            cfg.workload.burst_peak = std::stod(value());
+            cfg.workload.burst_peak = number(flag, value(), {1});
         } else if (flag == "--diurnal-period") {
-            cfg.workload.diurnal_period_s = std::stod(value());
+            cfg.workload.diurnal_period_s = number(flag, value(), kPositive);
         } else if (flag == "--diurnal-amplitude") {
-            cfg.workload.diurnal_amplitude = std::stod(value());
+            cfg.workload.diurnal_amplitude =
+                number(flag, value(), {0, 1, false, true});
         } else if (flag == "--max-batch") {
-            cfg.scheduler.max_batch = std::stoul(value());
+            cfg.scheduler.max_batch = count(flag, value(), 1);
         } else if (flag == "--block-tokens") {
-            cfg.kv_block_tokens = std::stoul(value());
+            cfg.kv_block_tokens = count(flag, value(), 1);
         } else if (flag == "--hbm-gb") {
-            cfg.hbm_gb = std::stod(value());
+            cfg.hbm_gb = number(flag, value(), kPositive);
             hbm_set = true;
         } else if (flag == "--codebook-slots") {
-            cfg.codebook_slots = std::stoul(value());
+            cfg.codebook_slots = count(flag, value(), 1);
         } else if (flag == "--codebook-groups") {
-            cfg.workload.num_codebook_groups = std::stoul(value());
+            cfg.workload.num_codebook_groups = count(flag, value());
         } else if (flag == "--policy") {
             if (!serving::parsePolicyKind(value(), &cfg.scheduler.policy))
-                vqllm_fatal("unknown policy (fcfs|priority|edf)");
+                usageError("--policy expects fcfs|priority|edf");
         } else if (flag == "--chunk-tokens") {
-            cfg.scheduler.chunk_tokens = std::stoul(value());
+            cfg.scheduler.chunk_tokens = count(flag, value());
         } else if (flag == "--priority-levels") {
-            cfg.workload.priority_levels = std::stoul(value());
+            cfg.workload.priority_levels = count(flag, value());
         } else if (flag == "--prompt-median") {
-            cfg.workload.prompt_len_median = std::stoul(value());
+            cfg.workload.prompt_len_median = count(flag, value());
         } else if (flag == "--tp-degree") {
-            cfg.tp.degree = std::stoi(value());
-            if (cfg.tp.degree < 1)
-                usageError("--tp-degree must be >= 1");
+            cfg.tp.degree = static_cast<int>(cli::unsignedFlag(
+                "serving_sim", flag, value(), 1,
+                std::numeric_limits<int>::max()));
         } else if (flag == "--link-gbps") {
-            cfg.tp.link_bw_gbps = std::stod(value());
-            if (cfg.tp.link_bw_gbps <= 0)
-                usageError("--link-gbps must be > 0");
+            cfg.tp.link_bw_gbps = number(flag, value(), kPositive);
         } else if (flag == "--collective-us") {
-            cfg.tp.collective_latency_us = std::stod(value());
-            if (cfg.tp.collective_latency_us < 0)
-                usageError("--collective-us must be >= 0");
+            cfg.tp.collective_latency_us =
+                number(flag, value(), kNonNegative);
         } else if (flag == "--prefix-groups") {
-            cfg.workload.prefix_groups = std::stoul(value());
+            cfg.workload.prefix_groups = count(flag, value());
         } else if (flag == "--prefix-tokens") {
-            cfg.workload.prefix_tokens = std::stoul(value());
-            if (cfg.workload.prefix_tokens == 0)
-                usageError("--prefix-tokens must be > 0");
+            cfg.workload.prefix_tokens = count(flag, value(), 1);
         } else if (flag == "--prefix-cache") {
             std::string v = value();
             if (v == "on")

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <initializer_list>
-#include <sstream>
 
 #include "codegen/cuda_emitter.h"
 #include "common/logging.h"
@@ -48,34 +47,6 @@ appendJoined(std::string &key, std::initializer_list<std::uint64_t> values,
         first = false;
         appendNum(key, v);
     }
-}
-
-/**
- * Every GpuSpec field, serialized.  The whole struct feeds occupancy
- * and the cost model, so the fingerprint must cover all of it — a
- * sensitivity sweep mutating any single field (dram_efficiency,
- * launch overhead, latencies...) must never alias onto another
- * spec's engine or cache entry.
- */
-std::string
-specFingerprint(const gpusim::GpuSpec &spec)
-{
-    std::ostringstream fp;
-    fp << spec.name << "/" << spec.num_sms << "/" << spec.smem_per_sm
-       << "/" << spec.max_smem_per_block << "/" << spec.regs_per_sm
-       << "/" << spec.max_threads_per_sm << "/"
-       << spec.max_blocks_per_sm << "/" << spec.max_regs_per_thread
-       << "/" << spec.warp_size << "/" << spec.smem_banks << "/"
-       << spec.smem_alloc_granularity << "/"
-       << spec.reg_alloc_granularity << "/" << spec.dram_bw_gbps << "/"
-       << spec.dram_efficiency << "/" << spec.clock_ghz << "/"
-       << spec.fp16_tensor_tflops << "/" << spec.fp32_tflops << "/"
-       << spec.smem_bytes_per_cycle << "/" << spec.issue_per_cycle
-       << "/" << spec.dram_latency_cycles << "/"
-       << spec.smem_latency_cycles << "/" << spec.shfl_latency_cycles
-       << "/" << spec.dram_sector_bytes << "/"
-       << spec.launch_overhead_us;
-    return fp.str();
 }
 
 } // namespace
@@ -182,16 +153,6 @@ CompiledKernel::runAttention(const vq::QuantizedTensor &qt_k,
 Engine::Engine(const gpusim::GpuSpec &spec, const EngineOptions &options)
     : spec_(spec), options_(options)
 {
-    // The policy/spec part of the cache key is engine-constant;
-    // serialize it once so hot-path lookups only format the request.
-    std::ostringstream suffix;
-    suffix << "|thr=" << options_.shuffle_threshold;
-    const auto &t = options_.tiling;
-    suffix << "|tile=" << t.weight_block_cols << ","
-           << t.gemm_block_rows << "," << t.gemv_split_k << ","
-           << t.attn_block_tokens;
-    suffix << "|spec=" << specFingerprint(spec_);
-    key_suffix_ = suffix.str();
 }
 
 std::string
@@ -201,7 +162,7 @@ Engine::cacheKey(const KernelRequest &request) const
     // lookup, hits included.
     const auto &cfg = request.config;
     std::string key;
-    key.reserve(128 + cfg.name.size() + key_suffix_.size());
+    key.reserve(128 + cfg.name.size());
     key += "op=";
     key += engine::opKindName(request.kind);
     key += "|shape=";
@@ -226,7 +187,6 @@ Engine::cacheKey(const KernelRequest &request) const
                  '/');
     key += "|lvl=";
     key += engine::optLevelName(request.level);
-    key += key_suffix_;
     // Histogram: presence plus a hex content digest (the request's
     // precomputed digest when supplied).
     key += "|hist=";
@@ -361,19 +321,6 @@ Engine::exportMetrics(obs::MetricsRegistry &registry,
     registry.counter(prefix + ".evictions").add(s.evictions);
     registry.gauge(prefix + ".size").set(static_cast<double>(s.size));
     registry.gauge(prefix + ".hit_rate").set(s.hitRate());
-}
-
-Engine &
-Engine::shared(const gpusim::GpuSpec &spec)
-{
-    static std::mutex registry_mutex;
-    static std::map<std::string, std::unique_ptr<Engine>> registry;
-
-    std::lock_guard<std::mutex> lock(registry_mutex);
-    auto &slot = registry[specFingerprint(spec)];
-    if (!slot)
-        slot = std::make_unique<Engine>(spec);
-    return *slot;
 }
 
 } // namespace vqllm::compiler

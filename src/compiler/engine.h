@@ -73,7 +73,7 @@ class TraceRecorder;
 
 namespace vqllm::compiler {
 
-/** Engine-wide planning policy (fixed per Engine, part of the key). */
+/** Engine-wide planning policy (fixed per Engine). */
 struct EngineOptions
 {
     /** Fusion threshold: max shuffles for register fusion. */
@@ -264,15 +264,15 @@ class Engine
                 const std::vector<engine::OptLevel> &levels);
 
     /**
-     * Canonical cache key of a request under this engine's spec and
-     * policy.
+     * Canonical cache key of a request.
      *
      * The key normalizes the shape (only the members of the request's
      * kind contribute; attention kv_heads resolves the MHA default),
-     * serializes every VQConfig field, the level, the planning policy
-     * (shuffle threshold + tiling), a GPU-spec fingerprint, and a
-     * content hash of the histogram (presence included) — so requests
-     * differing in any plan-affecting input never collide.
+     * serializes every VQConfig field, the level, and a content hash of
+     * the histogram (presence included) — so requests differing in any
+     * plan-affecting input never collide.  The spec and planning policy
+     * are fixed per Engine and the cache is private to it, so they are
+     * not part of the key.
      */
     std::string cacheKey(const KernelRequest &request) const;
 
@@ -305,14 +305,6 @@ class Engine
 
     const EngineOptions &options() const { return options_; }
 
-    /**
-     * Process-wide shared engine for a GPU spec (keyed by the spec
-     * fingerprint, created on first use, never destroyed).  The
-     * convenience registry behind the spec-level llm:: helpers;
-     * components wanting isolated caches construct their own Engine.
-     */
-    static Engine &shared(const gpusim::GpuSpec &spec);
-
   private:
     /** Plan and cost one request; caller holds mutex_. */
     std::shared_ptr<const CompiledKernel>
@@ -320,8 +312,6 @@ class Engine
 
     gpusim::GpuSpec spec_;
     EngineOptions options_;
-    /** Engine-constant key part (policy + spec), serialized once. */
-    std::string key_suffix_;
 
     mutable std::mutex mutex_;
     /** Keyed artifacts; std::map for deterministic iteration order. */

@@ -134,13 +134,6 @@ schemeLinearUs(compiler::Engine &eng, QuantScheme scheme,
 }
 
 double
-schemeAttentionUs(compiler::Engine &eng, QuantScheme scheme,
-                  const engine::AttnShape &shape)
-{
-    return kvSchemeAttentionUs(eng, defaultKvScheme(scheme), shape);
-}
-
-double
 kvSchemeAttentionUs(compiler::Engine &eng, KvScheme kv,
                     const engine::AttnShape &shape)
 {
@@ -162,33 +155,12 @@ kvSchemeAttentionUs(compiler::Engine &eng, KvScheme kv,
     return 0;
 }
 
-double
-schemeLinearUs(const gpusim::GpuSpec &spec, QuantScheme scheme,
-               const GemmShape &shape)
-{
-    return schemeLinearUs(compiler::Engine::shared(spec), scheme, shape);
-}
-
-double
-schemeAttentionUs(const gpusim::GpuSpec &spec, QuantScheme scheme,
-                  const engine::AttnShape &shape)
-{
-    return schemeAttentionUs(compiler::Engine::shared(spec), scheme,
-                             shape);
-}
-
-double
-kvSchemeAttentionUs(const gpusim::GpuSpec &spec, KvScheme kv,
-                    const engine::AttnShape &shape)
-{
-    return kvSchemeAttentionUs(compiler::Engine::shared(spec), kv, shape);
-}
-
 E2EResult
 estimateE2E(const gpusim::GpuSpec &spec, const LlamaConfig &model,
             QuantScheme scheme, const E2EConfig &cfg)
 {
     E2EResult result;
+    compiler::Engine eng(spec);
 
     // ---- Decode: evaluate one representative step at mid-generation
     // and scale (kernel latencies vary slowly with sequence length).
@@ -196,10 +168,11 @@ estimateE2E(const gpusim::GpuSpec &spec, const LlamaConfig &model,
     double step_linear_us = 0;
     for (auto [n, k] : model.layerLinearShapes()) {
         GemmShape shape{cfg.batch, n, k};
-        step_linear_us += schemeLinearUs(spec, scheme, shape);
+        step_linear_us += schemeLinearUs(eng, scheme, shape);
     }
-    double step_attn_us = schemeAttentionUs(
-        spec, scheme, model.attnShape(cfg.batch, mid_seq));
+    const KvScheme kv = defaultKvScheme(scheme);
+    double step_attn_us = kvSchemeAttentionUs(
+        eng, kv, model.attnShape(cfg.batch, mid_seq));
     double step_elem_us =
         elementwiseLayerLatencyUs(spec, cfg.batch, model.hidden);
     double step_us = (step_linear_us + step_elem_us) *
@@ -220,7 +193,7 @@ estimateE2E(const gpusim::GpuSpec &spec, const LlamaConfig &model,
     result.kv_bytes = static_cast<std::uint64_t>(
         static_cast<double>(model.kvCacheBytesFp16(
             cfg.batch, cfg.prompt_len + cfg.gen_tokens)) *
-        schemeKvScale(scheme));
+        kvSchemeScale(kv));
     return result;
 }
 

@@ -119,12 +119,6 @@ double prefillLayersUs(
 double schemeLinearUs(compiler::Engine &eng, QuantScheme scheme,
                       const engine::GemmShape &shape);
 
-/** Latency of one decode-attention kernel under a scheme (compiled
- *  through `eng` for the VQ schemes, like schemeLinearUs).  Equivalent
- *  to kvSchemeAttentionUs with defaultKvScheme(scheme). */
-double schemeAttentionUs(compiler::Engine &eng, QuantScheme scheme,
-                         const engine::AttnShape &shape);
-
 /**
  * Latency of one decode-attention kernel under an explicit KV storage
  * scheme: FP16 KV prices the closed-form flash-decoding model, INT4 KV
@@ -133,15 +127,6 @@ double schemeAttentionUs(compiler::Engine &eng, QuantScheme scheme,
  * (plan-cache hits in the serving steady state).
  */
 double kvSchemeAttentionUs(compiler::Engine &eng, KvScheme kv,
-                           const engine::AttnShape &shape);
-
-/** Convenience overloads pricing through the process-wide shared
- *  engine of `spec` (compiler::Engine::shared). */
-double schemeLinearUs(const gpusim::GpuSpec &spec, QuantScheme scheme,
-                      const engine::GemmShape &shape);
-double schemeAttentionUs(const gpusim::GpuSpec &spec, QuantScheme scheme,
-                         const engine::AttnShape &shape);
-double kvSchemeAttentionUs(const gpusim::GpuSpec &spec, KvScheme kv,
                            const engine::AttnShape &shape);
 
 } // namespace vqllm::llm

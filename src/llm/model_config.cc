@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cctype>
 
+#include "gpusim/gpu_spec.h"
+
 namespace vqllm::llm {
 
 const char *
@@ -34,6 +36,28 @@ parseQuantScheme(const std::string &token, QuantScheme *out)
     else
         return false;
     return true;
+}
+
+const LlamaConfig *
+modelByName(const std::string &token)
+{
+    if (token == "7b")
+        return &llama7b();
+    if (token == "65b")
+        return &llama65b();
+    if (token == "70b")
+        return &llama70b();
+    return nullptr;
+}
+
+const gpusim::GpuSpec *
+gpuByName(const std::string &token)
+{
+    if (token == "4090")
+        return &gpusim::rtx4090();
+    if (token == "a40")
+        return &gpusim::teslaA40();
+    return nullptr;
 }
 
 const char *
@@ -145,18 +169,6 @@ kvSchemeBytesPerToken(const LlamaConfig &model, KvScheme scheme)
 {
     double fp16 = static_cast<double>(model.kvCacheBytesFp16(1, 1));
     return static_cast<std::uint64_t>(fp16 * kvSchemeScale(scheme));
-}
-
-double
-schemeKvScale(QuantScheme scheme)
-{
-    return kvSchemeScale(defaultKvScheme(scheme));
-}
-
-std::uint64_t
-schemeKvBytesPerToken(const LlamaConfig &model, QuantScheme scheme)
-{
-    return kvSchemeBytesPerToken(model, defaultKvScheme(scheme));
 }
 
 std::uint64_t

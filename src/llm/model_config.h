@@ -13,6 +13,10 @@
 
 #include "engine/op_desc.h"
 
+namespace vqllm::gpusim {
+struct GpuSpec;
+}
+
 namespace vqllm::llm {
 
 /** Static description of a Llama-style decoder-only transformer. */
@@ -151,6 +155,14 @@ vq::VQConfig kvSchemeVqConfig(KvScheme scheme);
  */
 bool parseQuantScheme(const std::string &token, QuantScheme *out);
 
+/** @return the model a CLI token names ("7b", "65b", "70b"), or
+ *  nullptr on an unknown token. */
+const LlamaConfig *modelByName(const std::string &token);
+
+/** @return the GPU a CLI token names ("4090", "a40"), or nullptr on an
+ *  unknown token. */
+const gpusim::GpuSpec *gpuByName(const std::string &token);
+
 /** Weight/KV VQ configurations of a scheme as (weights, kv). The VQ
  *  members are meaningful for VQ4/VQ2 only; FP16/EWQ4 return the 4-bit
  *  configs as placeholders for histogram-free call sites. */
@@ -170,15 +182,6 @@ double kvSchemeScale(KvScheme scheme);
  *  stack (all layers, K and V) under a KV scheme. */
 std::uint64_t kvSchemeBytesPerToken(const LlamaConfig &model,
                                     KvScheme scheme);
-
-/** KV-cache bytes under a scheme relative to FP16; equivalent to
- *  `kvSchemeScale(defaultKvScheme(scheme))`. */
-double schemeKvScale(QuantScheme scheme);
-
-/** KV-cache bytes one cached token occupies across the whole decoder
- *  stack (all layers, K and V) under a scheme. */
-std::uint64_t schemeKvBytesPerToken(const LlamaConfig &model,
-                                    QuantScheme scheme);
 
 /** Packed byte footprint of `elements` FP16 values.  Single source of
  *  truth for the KV traffic math in the kernel estimators. */

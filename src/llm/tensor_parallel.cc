@@ -1,6 +1,7 @@
 #include "llm/tensor_parallel.h"
 
 #include "common/logging.h"
+#include "compiler/engine.h"
 #include "llm/ops.h"
 
 namespace vqllm::llm {
@@ -106,6 +107,7 @@ estimateTensorParallel(const gpusim::GpuSpec &spec,
                  "heads must divide evenly across TP ranks");
     const std::size_t g = static_cast<std::size_t>(tp.degree);
     TpResult result;
+    compiler::Engine eng(spec);
 
     // ---- Sharded per-layer linears (Megatron layout):
     //  column-parallel: Wq/Wk/Wv (n/G), W_gate/W_up (n/G)
@@ -114,12 +116,13 @@ estimateTensorParallel(const gpusim::GpuSpec &spec,
     double step_linear_us = 0;
     for (auto [n, k] : shardLinearShapes(model, g, 0)) {
         engine::GemmShape shard{cfg.batch, n, k};
-        step_linear_us += schemeLinearUs(spec, scheme, shard);
+        step_linear_us += schemeLinearUs(eng, scheme, shard);
     }
 
     // ---- Head-sharded attention.
-    double step_attn_us = schemeAttentionUs(
-        spec, scheme, shardAttnShape(model, cfg.batch, mid_seq, g, 0));
+    double step_attn_us = kvSchemeAttentionUs(
+        eng, defaultKvScheme(scheme),
+        shardAttnShape(model, cfg.batch, mid_seq, g, 0));
 
     // ---- Element-wise ops run replicated on the full hidden width.
     double step_elem_us =

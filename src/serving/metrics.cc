@@ -10,9 +10,6 @@
 
 namespace vqllm::serving {
 
-namespace {
-
-/** %.17g — shortest representation that round-trips a double. */
 std::string
 jsonDouble(double v)
 {
@@ -40,8 +37,6 @@ writeLatency(std::ostream &os, const char *name, const LatencyStats &s)
        << ",\"p99_us\":" << jsonDouble(s.p99_us)
        << ",\"max_us\":" << jsonDouble(s.max_us) << "}";
 }
-
-} // namespace
 
 double
 percentile(const std::vector<double> &sorted, double q)

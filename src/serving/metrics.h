@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -45,6 +46,16 @@ double percentile(const std::vector<double> &sorted, double q);
 
 /** Summarize a latency population (sorts a copy; empty input → zeros). */
 LatencyStats summarize(std::vector<double> samples);
+
+/** JSON number for a double at %.17g (round-trips exactly). */
+std::string jsonDouble(double v);
+
+/** JSON number for an unsigned 64-bit count. */
+std::string jsonU64(std::uint64_t v);
+
+/** Write `"name":{count, mean_us, p50_us, p95_us, p99_us, max_us}`. */
+void writeLatency(std::ostream &os, const char *name,
+                  const LatencyStats &s);
 
 /**
  * Accumulator the simulator feeds while the clock advances.

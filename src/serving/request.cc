@@ -191,6 +191,13 @@ generateWorkload(const WorkloadConfig &cfg)
 {
     if (!cfg.trace_path.empty())
         return loadWorkloadTrace(cfg);
+    // A non-positive or NaN rate would size the trace from garbage (a
+    // negative count) or never advance the arrival clock.
+    if (!(std::isfinite(cfg.qps) && cfg.qps > 0))
+        vqllm_fatal("qps must be finite and > 0, got ", cfg.qps);
+    if (!(std::isfinite(cfg.duration_s) && cfg.duration_s >= 0))
+        vqllm_fatal("duration_s must be finite and >= 0, got ",
+                    cfg.duration_s);
 
     Rng rng(cfg.seed);
     auto group_weights =

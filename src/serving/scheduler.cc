@@ -377,35 +377,14 @@ Scheduler::retire(Request *r)
 // ---------------------------------------------------------------------
 // IterationPricer
 
-IterationPricer::IterationPricer(compiler::Engine &eng,
-                                 const llm::LlamaConfig &model,
-                                 llm::QuantScheme scheme,
-                                 const PricerConfig &cfg)
-    : IterationPricer(std::vector<compiler::Engine *>{&eng}, model,
-                      scheme, llm::TpConfig{}, cfg)
-{
-}
-
 IterationPricer::IterationPricer(std::vector<compiler::Engine *> engines,
                                  const llm::LlamaConfig &model,
                                  llm::QuantScheme scheme,
-                                 const llm::TpConfig &tp,
-                                 const PricerConfig &cfg)
-    : IterationPricer(std::move(engines), model, scheme,
-                      llm::defaultKvScheme(scheme), tp, cfg)
-{
-}
-
-IterationPricer::IterationPricer(std::vector<compiler::Engine *> engines,
-                                 const llm::LlamaConfig &model,
-                                 llm::QuantScheme scheme,
-                                 llm::KvScheme kv, const llm::TpConfig &tp,
-                                 const PricerConfig &cfg)
+                                 llm::KvScheme kv, const llm::TpConfig &tp)
     : engines_(std::move(engines)), spec_(engines_.front()->spec()),
-      model_(model), scheme_(scheme), kv_scheme_(kv), tp_(tp), cfg_(cfg),
+      model_(model), scheme_(scheme), kv_scheme_(kv), tp_(tp),
       shard_deltas_(engines_.size())
 {
-    vqllm_assert(cfg_.seq_bucket > 0, "seq_bucket must be positive");
     vqllm_assert(tp_.degree >= 1, "TP degree must be >= 1");
     vqllm_assert(engines_.size() == static_cast<std::size_t>(tp_.degree),
                  "one engine per TP shard required");
@@ -422,22 +401,20 @@ double
 IterationPricer::prefillChunkUs(std::size_t tokens, std::size_t context)
 {
     // Bucket both dimensions for memoization; chunk cost is smooth in
-    // slice length and context.  Slices below one seq_bucket get a
+    // slice length and context.  Slices below one kSeqBucket get a
     // finer granularity — budget sharing routinely produces small
     // leftover slices, and charging each a whole bucket of phantom
     // tokens would systematically overprice the chunked regime.
     auto bucketTo = [](std::size_t n, std::size_t b) {
         return ((n + b - 1) / b) * b;
     };
-    std::size_t fine =
-        std::min<std::size_t>(32, std::max<std::size_t>(cfg_.seq_bucket / 8, 1));
+    constexpr std::size_t kFine = kSeqBucket / 8;
     tokens = std::max<std::size_t>(tokens, 1);
-    auto key = std::make_pair(tokens < cfg_.seq_bucket
-                                  ? bucketTo(tokens, fine)
-                                  : bucketTo(tokens, cfg_.seq_bucket),
-                              context == 0
-                                  ? 0
-                                  : bucketTo(context, cfg_.seq_bucket));
+    auto key = std::make_pair(tokens < kSeqBucket
+                                  ? bucketTo(tokens, kFine)
+                                  : bucketTo(tokens, kSeqBucket),
+                              context == 0 ? 0
+                                           : bucketTo(context, kSeqBucket));
     auto memo = prefill_memo_.find(key);
     if (memo != prefill_memo_.end())
         return memo->second;
@@ -494,8 +471,7 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
     for (const Request *r : batch) {
         std::size_t ctx = std::max<std::size_t>(r->contextTokens(), 1);
         std::size_t bucket =
-            ((ctx + cfg_.seq_bucket - 1) / cfg_.seq_bucket) *
-            cfg_.seq_bucket;
+            ((ctx + kSeqBucket - 1) / kSeqBucket) * kSeqBucket;
         ++bucket_counts[bucket];
     }
 
@@ -623,8 +599,8 @@ IterationPricer::codebookMissUs(std::size_t misses)
         bytes = (bytes * shard_heads + kv_heads - 1) / kv_heads;
     }
     double per_upload_us =
-        static_cast<double>(bytes) / (cfg_.upload_gbps * 1e9) * 1e6 +
-        cfg_.upload_fixed_us;
+        static_cast<double>(bytes) / (kUploadGbps * 1e9) * 1e6 +
+        kUploadFixedUs;
     double upload_us = per_upload_us * static_cast<double>(misses);
     last_breakdown_.codebook_upload_us += upload_us;
     totals_.codebook_upload_us += upload_us;

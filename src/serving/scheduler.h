@@ -30,7 +30,7 @@
  *
  * IterationPricer turns a formed iteration into simulated microseconds
  * by calling the same machinery the end-to-end model uses
- * (llm::schemeLinearUs / schemeAttentionUs, which compile adaptive VQ
+ * (llm::schemeLinearUs / kvSchemeAttentionUs, which compile adaptive VQ
  * kernels through the compiler::Engine facade and price them with
  * gpusim::CostModel).  Decode attention is priced per context-length
  * bucket — mirroring flash-decoding's homogeneous sub-launches over a
@@ -194,17 +194,6 @@ class Scheduler
     PrefixCache *prefix_cache_ = nullptr;
 };
 
-/** Tunables of the iteration pricer. */
-struct PricerConfig
-{
-    /** Context-length bucket for attention memoization, tokens. */
-    std::size_t seq_bucket = 256;
-    /** Host->device bandwidth for codebook-group uploads, GB/s. */
-    double upload_gbps = 32.0;
-    /** Fixed per-upload latency (launch + synchronization), us. */
-    double upload_fixed_us = 10.0;
-};
-
 /**
  * Prices scheduler iterations in simulated microseconds, across the
  * shards of a tensor-parallel deployment.
@@ -291,37 +280,26 @@ class IterationPricer
         std::size_t decode_batch = 0;
     };
 
-    /** Single-GPU convenience: degree-1 TP over one engine.  The KV
-     *  storage scheme follows the weight scheme
-     *  (llm::defaultKvScheme). */
-    IterationPricer(compiler::Engine &eng,
-                    const llm::LlamaConfig &model,
-                    llm::QuantScheme scheme,
-                    const PricerConfig &cfg = PricerConfig{});
+    /** Context-length bucket for attention memoization, tokens. */
+    static constexpr std::size_t kSeqBucket = 256;
+    /** Host->device bandwidth for codebook-group uploads, GB/s. */
+    static constexpr double kUploadGbps = 32.0;
+    /** Fixed per-upload latency (launch + synchronization), us. */
+    static constexpr double kUploadFixedUs = 10.0;
 
     /**
-     * Tensor-parallel pricer: one engine per shard (entries may repeat
-     * one shared engine).  engines.size() must equal tp.degree, and
-     * model.heads must divide evenly across the degree.  The KV
-     * storage scheme follows the weight scheme.
-     */
-    IterationPricer(std::vector<compiler::Engine *> engines,
-                    const llm::LlamaConfig &model,
-                    llm::QuantScheme scheme, const llm::TpConfig &tp,
-                    const PricerConfig &cfg = PricerConfig{});
-
-    /**
-     * Fully decoupled pricer: weight scheme `scheme` for the decode
-     * linears, KV storage scheme `kv` for decode attention (FP16 KV
-     * prices flash decoding, INT4 the element-wise dequant path, VQ4 /
-     * VQ2 compile fused dequant-attention kernels carrying the KV
-     * VQConfig) and for the codebook-residency model.
+     * One engine per TP shard (entries may repeat one shared engine):
+     * engines.size() must equal tp.degree, and model.heads must divide
+     * evenly across the degree.  Weight scheme `scheme` prices the
+     * decode linears; KV storage scheme `kv` prices decode attention
+     * (FP16 KV prices flash decoding, INT4 the element-wise dequant
+     * path, VQ4 / VQ2 compile fused dequant-attention kernels carrying
+     * the KV VQConfig) and drives the codebook-residency model.
      */
     IterationPricer(std::vector<compiler::Engine *> engines,
                     const llm::LlamaConfig &model,
                     llm::QuantScheme scheme, llm::KvScheme kv,
-                    const llm::TpConfig &tp,
-                    const PricerConfig &cfg = PricerConfig{});
+                    const llm::TpConfig &tp);
 
     /** Full mixed iteration: chunked-prefill GEMM slices plus decode
      *  attention buckets plus (degree > 1) the per-layer collectives,
@@ -418,7 +396,6 @@ class IterationPricer
     llm::QuantScheme scheme_;
     llm::KvScheme kv_scheme_;
     llm::TpConfig tp_;
-    PricerConfig cfg_;
     double comm_us_ = 0;
     double kv_dequant_us_ = 0;
     /** Cumulative breakdown (comm tracked by comm_us_ above). */

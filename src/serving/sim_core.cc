@@ -70,7 +70,7 @@ SimulatorCore::SimulatorCore(const SimulatorConfig &cfg)
     plan_stats_before_ = eng_->stats();
     std::vector<compiler::Engine *> shard_engines(degree_, eng_);
     pricer_.emplace(shard_engines, model_, cfg_.scheme, kv_scheme_,
-                    cfg_.tp, cfg_.pricer);
+                    cfg_.tp);
     has_codebooks_ = pricer_->codebookGroupBytes() > 0;
 
     // ---- Observability hookup.  Every instrumentation site guards on

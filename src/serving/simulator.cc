@@ -1,10 +1,7 @@
 #include "serving/simulator.h"
 
-#include <memory>
-
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "obs/metrics.h"
 #include "serving/sim_core.h"
 
 namespace vqllm::serving {
@@ -53,32 +50,10 @@ ServingSimulator::run()
 std::vector<ServingReport>
 ServingSimulator::runMany(const std::vector<SimulatorConfig> &configs)
 {
-    return runMany(configs, nullptr);
-}
-
-std::vector<ServingReport>
-ServingSimulator::runMany(
-    const std::vector<SimulatorConfig> &configs,
-    std::vector<std::unique_ptr<obs::MetricsRegistry>> *registries)
-{
-    std::vector<SimulatorConfig> cfgs = configs;
-    if (registries != nullptr) {
-        // One private registry per simulation (overriding any registry
-        // the caller left in the config): concurrent sims never share
-        // a registry, and the caller gets per-sim metrics in config
-        // order alongside the reports.
-        registries->clear();
-        registries->reserve(cfgs.size());
-        for (auto &cfg : cfgs) {
-            registries->push_back(
-                std::make_unique<obs::MetricsRegistry>());
-            cfg.metrics = registries->back().get();
-        }
-    }
-    std::vector<ServingReport> reports(cfgs.size());
-    par::parallelFor(cfgs.size(), 1, [&](const par::ChunkRange &c) {
+    std::vector<ServingReport> reports(configs.size());
+    par::parallelFor(configs.size(), 1, [&](const par::ChunkRange &c) {
         for (std::size_t i = c.begin; i < c.end; ++i)
-            reports[i] = ServingSimulator(cfgs[i]).run();
+            reports[i] = ServingSimulator(configs[i]).run();
     });
     return reports;
 }

@@ -20,7 +20,6 @@
  */
 #pragma once
 
-#include <memory>
 #include <optional>
 
 #include "gpusim/gpu_spec.h"
@@ -98,7 +97,6 @@ struct SimulatorConfig
 
     WorkloadConfig workload;
     SchedulerConfig scheduler;
-    PricerConfig pricer;
 
     /** Per-GPU HBM capacity, GB (24 matches the RTX 4090). */
     double hbm_gb = 24.0;
@@ -170,19 +168,6 @@ class ServingSimulator
      */
     static std::vector<ServingReport>
     runMany(const std::vector<SimulatorConfig> &configs);
-
-    /**
-     * runMany with per-simulation metrics: creates one private
-     * MetricsRegistry per config (overriding any registry already set
-     * in the config — concurrent sims must not share one), runs the
-     * sims, and returns the registries through @p registries in config
-     * order.  Fleet benches use this to aggregate `serving.*` metrics
-     * per replica without serializing the fan-out.
-     */
-    static std::vector<ServingReport>
-    runMany(const std::vector<SimulatorConfig> &configs,
-            std::vector<std::unique_ptr<obs::MetricsRegistry>>
-                *registries);
 
     /** @return KV bytes available to the pools under this config,
      *  summed over the TP shards. */

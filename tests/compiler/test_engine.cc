@@ -214,25 +214,6 @@ TEST(CompilerEngineDeathTest, RunHookRejectsKindMismatch)
     EXPECT_DEATH(kernel->runGemm(qt, x), "runGemm on a GeMV artifact");
 }
 
-TEST(CompilerEngine, SharedRegistryReturnsOneEnginePerSpec)
-{
-    Engine &a = Engine::shared(gpusim::rtx4090());
-    Engine &b = Engine::shared(gpusim::rtx4090());
-    Engine &c = Engine::shared(gpusim::teslaA40());
-    EXPECT_EQ(&a, &b);
-    EXPECT_NE(&a, &c);
-    // The registry copies the spec, so the engine survives the
-    // caller's spec object.
-    gpusim::GpuSpec local = gpusim::rtx4090();
-    local.name = "local-ephemeral";
-    Engine *d = nullptr;
-    {
-        gpusim::GpuSpec scoped = local;
-        d = &Engine::shared(scoped);
-    }
-    EXPECT_EQ(d->spec().name, "local-ephemeral");
-}
-
 TEST(CompilerEngine, ClearCacheDropsEntriesKeepsCounters)
 {
     Engine eng(gpusim::rtx4090());

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "serving/request.h"
 
@@ -146,6 +147,29 @@ TEST(ArrivalPatterns, InvalidParametersAreFatal)
         cfg.diurnal_amplitude = 1.0;
         EXPECT_DEATH({ generateWorkload(cfg); }, "diurnal_amplitude");
     }
+}
+
+TEST(ArrivalPatterns, NonFiniteOrNonPositiveRatesAreFatal)
+{
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double qps : {-5.0, 0.0, nan, inf}) {
+        auto cfg = baseConfig();
+        cfg.qps = qps;
+        EXPECT_DEATH({ generateWorkload(cfg); }, "qps must be finite")
+            << "qps " << qps;
+    }
+    for (double duration : {-1.0, nan, inf}) {
+        auto cfg = baseConfig();
+        cfg.duration_s = duration;
+        EXPECT_DEATH({ generateWorkload(cfg); },
+                     "duration_s must be finite")
+            << "duration " << duration;
+    }
+    // A zero-length window is valid: an empty trace.
+    auto empty = baseConfig();
+    empty.duration_s = 0;
+    EXPECT_TRUE(generateWorkload(empty).empty());
 }
 
 } // namespace

@@ -92,12 +92,13 @@ TEST(TpPricing, SteadyStateDecodeMatchesEstimateTensorParallel)
     // must agree to floating-point noise (they share shard-geometry
     // helpers, so any drift is a real modeling divergence).
     const std::size_t batch = 8;
-    const std::size_t ctx = 512; // multiple of PricerConfig::seq_bucket
+    const std::size_t ctx = 512; // multiple of IterationPricer::kSeqBucket
     for (auto scheme : {llm::QuantScheme::FP16, llm::QuantScheme::VQ4}) {
         for (int degree : {2, 4}) {
             compiler::Engine eng(rtx4090());
             std::vector<compiler::Engine *> engines(degree, &eng);
             IterationPricer pricer(engines, llm::llama7b(), scheme,
+                                   llm::defaultKvScheme(scheme),
                                    nvlink(degree));
             auto reqs = decodeBatch(batch, ctx);
             auto batch_ptrs = ptrs(reqs);
@@ -126,7 +127,8 @@ TEST(TpPricing, Degree1IsBitIdenticalToUnshardedFormula)
     const std::size_t ctx = 256;
     compiler::Engine eng(rtx4090());
     compiler::Engine ref_eng(rtx4090());
-    IterationPricer pricer(eng, llm::llama7b(), llm::QuantScheme::VQ4);
+    IterationPricer pricer({&eng}, llm::llama7b(), llm::QuantScheme::VQ4,
+                           llm::KvScheme::VQ4, llm::TpConfig{});
     auto reqs = decodeBatch(batch, ctx);
     auto batch_ptrs = ptrs(reqs);
     double priced = pricer.decodeUs(batch_ptrs);
@@ -140,8 +142,8 @@ TEST(TpPricing, Degree1IsBitIdenticalToUnshardedFormula)
             engine::GemmShape{batch, n, k});
     double elem_us = llm::elementwiseLayerLatencyUs(
         eng.spec(), batch, model.hidden);
-    double attn_us = llm::schemeAttentionUs(
-        ref_eng, llm::QuantScheme::VQ4, model.attnShape(batch, ctx));
+    double attn_us = llm::kvSchemeAttentionUs(
+        ref_eng, llm::KvScheme::VQ4, model.attnShape(batch, ctx));
     double expected =
         (linear_us + elem_us + attn_us) * static_cast<double>(model.layers);
     EXPECT_DOUBLE_EQ(priced, expected);
@@ -177,10 +179,12 @@ TEST(TpPricing, ShardedChunkedPrefillConverges)
 TEST(TpPricing, CodebookUploadShrinksWithDegree)
 {
     compiler::Engine eng(rtx4090());
-    IterationPricer single(eng, llm::llama7b(), llm::QuantScheme::VQ2);
+    IterationPricer single({&eng}, llm::llama7b(), llm::QuantScheme::VQ2,
+                           llm::KvScheme::VQ2, llm::TpConfig{});
     std::vector<compiler::Engine *> engines(4, &eng);
     IterationPricer sharded(engines, llm::llama7b(),
-                            llm::QuantScheme::VQ2, nvlink(4));
+                            llm::QuantScheme::VQ2, llm::KvScheme::VQ2,
+                            nvlink(4));
     ASSERT_GT(single.codebookMissUs(1), 0.0);
     // Per-device shard uploads overlap: roughly 1/4 the bytes, plus the
     // fixed launch cost.
