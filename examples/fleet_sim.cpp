@@ -238,6 +238,13 @@ main(int argc, char **argv)
     }
     if (!hbm_set && sim.spec == &gpusim::teslaA40())
         sim.hbm_gb = 48.0; // A40 ships 48 GB
+    if (std::string err = llm::tpSplitError(*sim.model, sim.tp.degree);
+        !err.empty())
+        usageError(err);
+    if (!trace_out.empty() && sim.tp.degree >= fleet::kTracksPerReplica)
+        usageError("--trace-out supports --tp-degree below " +
+                   std::to_string(fleet::kTracksPerReplica) +
+                   " (trace tracks per replica)");
 
     if (prefill_replicas == 0)
         prefill_replicas = (replicas + 1) / 2;

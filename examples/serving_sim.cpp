@@ -234,6 +234,9 @@ main(int argc, char **argv)
     }
     if (!hbm_set && cfg.spec == &gpusim::teslaA40())
         cfg.hbm_gb = 48.0; // A40 ships 48 GB
+    if (std::string err = llm::tpSplitError(*cfg.model, cfg.tp.degree);
+        !err.empty())
+        usageError(err);
 
     obs::TraceRecorder recorder;
     obs::MetricsRegistry registry;

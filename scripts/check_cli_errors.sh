@@ -60,6 +60,10 @@ for bin in "${serving_sim}" "${fleet_sim}"; do
     expect_usage_error "${bin}" --seed 1.5
     expect_usage_error "${bin}" --tp-degree 0
     expect_usage_error "${bin}" --tp-degree 99999999999
+    # TP degrees the model cannot split evenly (heads, KV heads).
+    expect_usage_error "${bin}" --tp-degree 3
+    expect_usage_error "${bin}" --tp-degree 64
+    expect_usage_error "${bin}" --model 70b --tp-degree 16
     expect_usage_error "${bin}" --chunk-tokens 12abc
     expect_usage_error "${bin}" --prompt-median 1e3
     expect_usage_error "${bin}" --burst-duty 1.5
@@ -76,6 +80,9 @@ expect_usage_error "${fleet_sim}" --replicas x
 expect_usage_error "${fleet_sim}" --replicas 0
 expect_usage_error "${fleet_sim}" --prefill-replicas -1
 expect_usage_error "${fleet_sim}" --handoff-gbps 0
+# A merged fleet trace has 16 tracks per replica: TP 16 would overlap.
+expect_usage_error "${fleet_sim}" --replicas 2 --tp-degree 16 \
+    --trace-out "${stderr_file}.trace.json"
 
 if [ "${status}" -eq 0 ]; then
     echo "CLI errors clean: every bad value is a one-line usage error" \

@@ -73,13 +73,9 @@ class TraceRecorder;
 
 namespace vqllm::compiler {
 
-/** Engine-wide planning policy (fixed per Engine). */
+/** Engine-wide cache policy (fixed per Engine). */
 struct EngineOptions
 {
-    /** Fusion threshold: max shuffles for register fusion. */
-    int shuffle_threshold = 5;
-    /** Baseline tiling constants of the planner. */
-    engine::BaselineTiling tiling;
     /**
      * Maximum retained artifacts.  0 disables retention (every compile
      * is a miss and an immediate eviction) — results are bit-identical
@@ -233,8 +229,9 @@ struct CacheStats
  * The compile facade: plan → cost → emit → execute behind one entry
  * point with a memoizing kernel cache.
  *
- * An Engine is constructed from a target GPU and a planning policy and
+ * An Engine is constructed from a target GPU and a cache policy and
  * owns a private copy of both, so it may outlive the caller's GpuSpec.
+ * The planner runs with its default fusion threshold and tiling.
  * All methods are thread-safe.
  */
 class Engine
@@ -302,8 +299,6 @@ class Engine
 
     /** @return the engine's private copy of the target GPU. */
     const gpusim::GpuSpec &spec() const { return spec_; }
-
-    const EngineOptions &options() const { return options_; }
 
   private:
     /** Plan and cost one request; caller holds mutex_. */

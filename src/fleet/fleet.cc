@@ -75,6 +75,12 @@ FleetSimulator::FleetSimulator(const FleetConfig &cfg)
         // never be generated, so drop it to avoid implying otherwise.
         sim.workload = serving::WorkloadConfig{};
         if (cfg_.trace) {
+            if (sim.tp.degree >= kTracksPerReplica)
+                vqllm_fatal("fleet tracing supports TP degrees below ",
+                            kTracksPerReplica, " (replica ", i,
+                            " has degree ", sim.tp.degree,
+                            "): its shard tracks would overlap the next "
+                            "replica's");
             trace_recs_.push_back(
                 std::make_unique<obs::TraceRecorder>());
             sim.trace = trace_recs_.back().get();

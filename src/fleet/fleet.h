@@ -100,7 +100,8 @@ struct FleetConfig
 
     /** Record per-replica traces, exported merged via
      *  FleetSimulator::writeChromeTrace (replica i on tracks
-     *  [i*kTracksPerReplica, ...) prefixed "r<i>/"). */
+     *  [i*kTracksPerReplica, ...) prefixed "r<i>/").  Fatal when a
+     *  replica's TP degree is >= kTracksPerReplica. */
     bool trace = false;
 
     /** Fleet-level metrics registry (nullptr = off): `fleet.router.*`,

@@ -36,6 +36,25 @@ layerAllReduceUs(const TpConfig &tp, std::size_t rows, std::size_t hidden)
     return 2.0 * ringAllReduceUs(tp, activation_bytes);
 }
 
+std::string
+tpSplitError(const LlamaConfig &model, int degree)
+{
+    const std::string tp = "TP degree " + std::to_string(degree);
+    if (degree < 1)
+        return tp + " must be >= 1";
+    const auto g = static_cast<std::size_t>(degree);
+    if (model.heads % g != 0)
+        return tp + " does not divide the model's " +
+               std::to_string(model.heads) + " attention heads";
+    if (model.kvHeads() % g != 0)
+        return tp + " does not divide the model's " +
+               std::to_string(model.kvHeads()) + " KV heads";
+    if (model.intermediate % g != 0)
+        return tp + " does not divide the model's MLP width " +
+               std::to_string(model.intermediate);
+    return "";
+}
+
 std::size_t
 shardSplit(std::size_t total, std::size_t degree, std::size_t shard)
 {

@@ -14,6 +14,8 @@
  */
 #pragma once
 
+#include <string>
+
 #include "llm/e2e.h"
 
 namespace vqllm::llm {
@@ -79,6 +81,15 @@ double linkTransferUs(const TpConfig &tp, std::uint64_t bytes);
  */
 double layerAllReduceUs(const TpConfig &tp, std::size_t rows,
                         std::size_t hidden);
+
+/**
+ * Why `degree` cannot shard `model` evenly, or "" when it can.  The
+ * degree must be >= 1 and divide the attention heads, the KV heads and
+ * the MLP width, so every device holds the same slice of weights, KV
+ * cache and work — the condition under which the serving layer models
+ * one device and scales it by the degree.
+ */
+std::string tpSplitError(const LlamaConfig &model, int degree);
 
 /**
  * Balanced split of `total` units across `degree` shards: the share

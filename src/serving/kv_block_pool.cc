@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 
 namespace vqllm::serving {
 
@@ -60,6 +61,16 @@ KvBlockPool::setFill(BlockId block, std::size_t fill)
     block_fill_[block] = static_cast<std::uint32_t>(fill);
 }
 
+void
+KvBlockPool::traceSeq(const char *name, std::uint64_t seq_id,
+                      std::size_t tokens) const
+{
+    if (trace_)
+        trace_->instant(name, "kv", 0, trace_->now(),
+                        {{"seq", static_cast<double>(seq_id)},
+                         {"tokens", static_cast<double>(tokens)}});
+}
+
 bool
 KvBlockPool::ensureFree(std::uint64_t need)
 {
@@ -85,6 +96,7 @@ KvBlockPool::allocSequence(std::uint64_t seq_id, std::size_t tokens)
     std::uint64_t need = blocksForTokens(tokens);
     if (!ensureFree(need)) {
         ++stats_.failed_allocs;
+        traceSeq("kv_alloc_fail", seq_id, tokens);
         return false;
     }
     SeqEntry &e = seqs_[seq_id];
@@ -97,6 +109,7 @@ KvBlockPool::allocSequence(std::uint64_t seq_id, std::size_t tokens)
                             tokens - static_cast<std::size_t>(i) *
                                          cfg_.block_tokens));
     }
+    traceSeq("kv_alloc", seq_id, tokens);
     return true;
 }
 
@@ -125,8 +138,7 @@ KvBlockPool::attachSequence(std::uint64_t seq_id,
 }
 
 bool
-KvBlockPool::extendSequence(std::uint64_t seq_id, std::size_t tokens,
-                            ExtendUndo *undo)
+KvBlockPool::extendSequence(std::uint64_t seq_id, std::size_t tokens)
 {
     auto it = seqs_.find(seq_id);
     vqllm_assert(it != seqs_.end(), "sequence not resident");
@@ -143,11 +155,8 @@ KvBlockPool::extendSequence(std::uint64_t seq_id, std::size_t tokens,
     std::uint64_t fresh = (need_total - held) + (fork ? 1 : 0);
     if (fresh > 0 && !ensureFree(fresh)) {
         ++stats_.failed_allocs;
+        traceSeq("kv_extend_fail", seq_id, tokens);
         return false;
-    }
-    if (undo) {
-        undo->old_tokens = e.tokens;
-        undo->old_blocks = e.blocks;
     }
     std::size_t first_changed = e.blocks.empty() ? 0 : held - 1;
     if (fork) {
@@ -164,34 +173,11 @@ KvBlockPool::extendSequence(std::uint64_t seq_id, std::size_t tokens,
                 std::min(cfg_.block_tokens,
                          new_tokens - i * cfg_.block_tokens));
     e.tokens = new_tokens;
+    if (fork && trace_)
+        trace_->instant("cow_fork", "prefix", 0, trace_->now(),
+                        {{"seq", static_cast<double>(seq_id)}});
+    traceSeq("kv_extend", seq_id, tokens);
     return true;
-}
-
-void
-KvBlockPool::undoExtend(std::uint64_t seq_id, const ExtendUndo &undo)
-{
-    auto it = seqs_.find(seq_id);
-    vqllm_assert(it != seqs_.end(), "sequence not resident");
-    SeqEntry &e = it->second;
-    std::size_t k = undo.old_blocks.size();
-    vqllm_assert(e.blocks.size() >= k && e.tokens >= undo.old_tokens,
-                "undo record does not match the sequence");
-    for (std::size_t i = e.blocks.size(); i-- > k;)
-        dropRef(e.blocks[i]);
-    if (k > 0) {
-        if (e.blocks[k - 1] != undo.old_blocks[k - 1]) {
-            // The extension COW-forked the tail: re-share the original
-            // block and discard the private copy.
-            ++block_refs_[undo.old_blocks[k - 1]];
-            dropRef(e.blocks[k - 1]);
-            --stats_.cow_forks;
-        } else {
-            setFill(e.blocks[k - 1],
-                    undo.old_tokens - (k - 1) * cfg_.block_tokens);
-        }
-    }
-    e.tokens = undo.old_tokens;
-    e.blocks = undo.old_blocks;
 }
 
 std::size_t
@@ -221,9 +207,12 @@ KvBlockPool::freeSequence(std::uint64_t seq_id)
     auto it = seqs_.find(seq_id);
     if (it == seqs_.end())
         return;
+    std::size_t tokens = it->second.tokens;
     for (BlockId b : it->second.blocks)
         dropRef(b);
     seqs_.erase(it);
+    if (tokens > 0)
+        traceSeq("kv_free", seq_id, tokens);
 }
 
 std::uint64_t

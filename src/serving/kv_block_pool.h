@@ -45,6 +45,7 @@
 
 namespace vqllm::obs {
 class MetricsRegistry;
+class TraceRecorder;
 }
 
 namespace vqllm::serving {
@@ -144,33 +145,17 @@ class KvBlockPool
                         const std::vector<BlockId> &blocks,
                         std::size_t tokens);
 
-    /** Undo record of one extendSequence call, for the all-or-nothing
-     *  cross-shard rollback in ShardedKvPool. */
-    struct ExtendUndo
-    {
-        std::size_t old_tokens = 0;
-        std::vector<BlockId> old_blocks;
-    };
-
     /**
      * Extend a resident sequence by n tokens, taking fresh blocks as
      * tokens cross block boundaries.  If the tail block is shared and
      * has slack, it is copy-on-write forked first (one extra fresh
      * block; counted in stats().cow_forks).
      *
-     * @param undo when non-null, filled with the state needed to revert
-     *        a successful extension via undoExtend()
      * @return false if blocks were needed and too few were free even
      *         after reclaim (the scheduler's preemption signal); the
      *         sequence is unchanged
      */
-    bool extendSequence(std::uint64_t seq_id, std::size_t tokens,
-                        ExtendUndo *undo = nullptr);
-
-    /** Revert a successful extendSequence (a sharded extension hit
-     *  capacity on a later shard): appended blocks free, a COW-forked
-     *  tail re-shares the original block. */
-    void undoExtend(std::uint64_t seq_id, const ExtendUndo &undo);
+    bool extendSequence(std::uint64_t seq_id, std::size_t tokens);
 
     /**
      * Extend a resident sequence by one token (decode step).
@@ -291,8 +276,13 @@ class KvBlockPool
     const KvBlockPoolStats &stats() const { return stats_; }
     const KvBlockPoolConfig &config() const { return cfg_; }
 
+    /** Attach a trace recorder (nullptr = off, the default): sequence
+     *  alloc/extend/free, their capacity failures and copy-on-write
+     *  forks record as instants at the recorder's simulated clock. */
+    void setTrace(obs::TraceRecorder *trace) { trace_ = trace; }
+
     /** Publish the pool's counters and occupancy under
-     *  `<prefix>.`-qualified names (e.g. `serving.kv.shard0`). */
+     *  `<prefix>.`-qualified names (e.g. `serving.kv`). */
     void exportMetrics(obs::MetricsRegistry &registry,
                        const std::string &prefix) const;
 
@@ -307,6 +297,10 @@ class KvBlockPool
     void dropRef(BlockId block);
     void setFill(BlockId block, std::size_t fill);
     bool ensureFree(std::uint64_t need);
+    /** Record a `kv`-category instant for one sequence (no-op without
+     *  a recorder). */
+    void traceSeq(const char *name, std::uint64_t seq_id,
+                  std::size_t tokens) const;
 
     KvBlockPoolConfig cfg_;
     std::uint64_t total_blocks_ = 0;
@@ -323,6 +317,7 @@ class KvBlockPool
     std::function<void(std::uint64_t)> reclaimer_;
     std::function<std::uint64_t()> reclaimable_;
     KvBlockPoolStats stats_;
+    obs::TraceRecorder *trace_ = nullptr;
 };
 
 /** Lifetime counters of the residency cache. */

@@ -218,19 +218,6 @@ ServingReport::summary() const
                       static_cast<unsigned long long>(tp_degree),
                       comm_us / 1e6, comm_fraction * 100.0);
         out += buf;
-        for (std::size_t i = 0; i < shards.size(); ++i) {
-            const ShardReport &s = shards[i];
-            std::snprintf(
-                buf, sizeof(buf),
-                "    shard %zu: KV peak %.2f GB of %.2f GB (%.1f%%), "
-                "plan cache %llu/%llu hits/misses\n",
-                i, static_cast<double>(s.kv_peak_bytes) / 1e9,
-                static_cast<double>(s.kv_capacity_bytes) / 1e9,
-                s.kvPeakFraction() * 100.0,
-                static_cast<unsigned long long>(s.plan_cache_hits),
-                static_cast<unsigned long long>(s.plan_cache_misses));
-            out += buf;
-        }
     }
     return out;
 }
@@ -289,18 +276,7 @@ ServingReport::json() const
            << ",\"peak_running_seqs\":" << jsonU64(peak_running_seqs)
            << "}";
     }
-    os << ",\"shards\":[";
-    for (std::size_t i = 0; i < shards.size(); ++i) {
-        const ShardReport &s = shards[i];
-        if (i > 0)
-            os << ",";
-        os << "{\"kv_peak_bytes\":" << jsonU64(s.kv_peak_bytes)
-           << ",\"kv_capacity_bytes\":" << jsonU64(s.kv_capacity_bytes)
-           << ",\"plan_cache_hits\":" << jsonU64(s.plan_cache_hits)
-           << ",\"plan_cache_misses\":" << jsonU64(s.plan_cache_misses)
-           << "}";
-    }
-    os << "]}";
+    os << "}";
     return os.str();
 }
 

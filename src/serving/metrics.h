@@ -102,30 +102,6 @@ class MetricsCollector
     obs::Counter *c_preemptions_ = nullptr;
 };
 
-/** Per-device view of one tensor-parallel serving run. */
-struct ShardReport
-{
-    /** KV high-water mark on this device, bytes. */
-    std::uint64_t kv_peak_bytes = 0;
-    /** KV capacity of this device's pool, bytes. */
-    std::uint64_t kv_capacity_bytes = 0;
-    /** Plan-cache lookups this shard's pricing performed (per-shard
-     *  delta; shards sharing one engine attribute correctly because
-     *  pricing is sequential within a run). */
-    std::uint64_t plan_cache_hits = 0;
-    std::uint64_t plan_cache_misses = 0;
-
-    /** @return peak KV occupancy of this device ([0,1]). */
-    double
-    kvPeakFraction() const
-    {
-        return kv_capacity_bytes > 0
-                   ? static_cast<double>(kv_peak_bytes) /
-                         static_cast<double>(kv_capacity_bytes)
-                   : 0.0;
-    }
-};
-
 /** Final report of one serving simulation. */
 struct ServingReport
 {
@@ -168,13 +144,12 @@ struct ServingReport
     double decode_us = 0;
     /** Codebook upload (residency misses) summed, microseconds. */
     double codebook_upload_us = 0;
-    /** Per-device KV occupancy and plan-cache deltas (one entry per
-     *  shard; a single entry at degree 1). */
-    std::vector<ShardReport> shards;
 
-    /** KV-cache high-water mark, bytes (summed over shards). */
+    /** KV-cache high-water mark, bytes (one device's times the TP
+     *  degree). */
     std::uint64_t kv_peak_bytes = 0;
-    /** Aggregate KV capacity, bytes (summed over shards). */
+    /** Aggregate KV capacity, bytes (one device's times the TP
+     *  degree). */
     std::uint64_t kv_capacity_bytes = 0;
     /** Codebook residency hit rate over the run ([0,1]; 1 when the
      *  scheme has no codebooks). */
@@ -204,7 +179,7 @@ struct ServingReport
     /** Cached blocks evicted (LFU capacity plus pool-pressure
      *  reclaim). */
     std::uint64_t prefix_evicted_blocks = 0;
-    /** Cached blocks resident at end of run (per shard). */
+    /** Cached blocks resident at end of run (per device). */
     std::uint64_t prefix_cached_blocks = 0;
     /** Copy-on-write forks: writes into a shared tail block's slack
      *  that privatized it first. */
@@ -222,7 +197,7 @@ struct ServingReport
      *  "vq4", "vq2"). */
     std::string kv_scheme = "fp16";
     /** KV bytes one cached token occupies across the decoder stack
-     *  under the KV scheme (summed over shards). */
+     *  under the KV scheme (all devices). */
     std::uint64_t kv_bytes_per_token = 0;
     /** Resident-token capacity multiplier vs FP16 KV at equal pool
      *  bytes (FP16 bytes/token over the scheme's bytes/token). */
@@ -252,7 +227,7 @@ struct ServingReport
 
     /**
      * @return the full report as a deterministic JSON object: every
-     * scalar field, the busy-time breakdown and the per-shard views.
+     * scalar field and the busy-time breakdown.
      * Doubles print with %.17g (round-trip exact), so two reports
      * serialize identically iff they are bit-identical — the property
      * the tracing-off parity tests key on.

@@ -36,7 +36,7 @@ sliceTokens(std::size_t remaining, std::size_t budget, std::size_t avail)
 
 } // namespace
 
-Scheduler::Scheduler(const SchedulerConfig &cfg, ShardedKvPool &pool)
+Scheduler::Scheduler(const SchedulerConfig &cfg, KvBlockPool &pool)
     : cfg_(cfg), pool_(pool), policy_(makePolicy(cfg.policy))
 {
     vqllm_assert(cfg_.max_batch > 0, "max_batch must be positive");
@@ -377,24 +377,15 @@ Scheduler::retire(Request *r)
 // ---------------------------------------------------------------------
 // IterationPricer
 
-IterationPricer::IterationPricer(std::vector<compiler::Engine *> engines,
+IterationPricer::IterationPricer(compiler::Engine &eng,
                                  const llm::LlamaConfig &model,
                                  llm::QuantScheme scheme,
                                  llm::KvScheme kv, const llm::TpConfig &tp)
-    : engines_(std::move(engines)), spec_(engines_.front()->spec()),
-      model_(model), scheme_(scheme), kv_scheme_(kv), tp_(tp),
-      shard_deltas_(engines_.size())
+    : eng_(eng), spec_(eng.spec()), model_(model), scheme_(scheme),
+      kv_scheme_(kv), tp_(tp)
 {
-    vqllm_assert(tp_.degree >= 1, "TP degree must be >= 1");
-    vqllm_assert(engines_.size() == static_cast<std::size_t>(tp_.degree),
-                 "one engine per TP shard required");
-    vqllm_assert(model_.heads % tp_.degree == 0,
-                 "heads must divide evenly across TP ranks");
-    vqllm_assert(model_.kvHeads() >=
-                     static_cast<std::size_t>(tp_.degree),
-                 "TP degree exceeds the model's KV heads");
-    for (compiler::Engine *eng : engines_)
-        vqllm_assert(eng != nullptr, "null shard engine");
+    const std::string split_error = llm::tpSplitError(model_, tp_.degree);
+    vqllm_assert(split_error.empty(), split_error);
 }
 
 double
@@ -433,29 +424,28 @@ IterationPricer::prefillCommUs(std::size_t tokens) const
 }
 
 double
-IterationPricer::decodeLinearUs(compiler::Engine &eng, std::size_t shard,
-                                std::size_t batch)
+IterationPricer::decodeLinearUs(std::size_t batch)
 {
     // No pricer-side memo: the engine's plan cache memoizes the VQ
     // kernel compiles, so repeated batch sizes are cache hits there
     // (and the FP16/EWQ closed forms are cheap enough to re-evaluate).
     double us = 0;
     std::size_t degree = static_cast<std::size_t>(tp_.degree);
-    for (auto [n, k] : llm::shardLinearShapes(model_, degree, shard)) {
+    for (auto [n, k] : llm::shardLinearShapes(model_, degree, 0)) {
         engine::GemmShape shape{batch, n, k};
-        us += llm::schemeLinearUs(eng, scheme_, shape);
+        us += llm::schemeLinearUs(eng_, scheme_, shape);
     }
     return us;
 }
 
 double
-IterationPricer::decodeAttnUs(compiler::Engine &eng, std::size_t shard,
-                              std::size_t batch, std::size_t seq_bucket)
+IterationPricer::attnUs(llm::KvScheme kv, std::size_t batch,
+                        std::size_t seq_bucket)
 {
     return llm::kvSchemeAttentionUs(
-        eng, kv_scheme_,
+        eng_, kv,
         llm::shardAttnShape(model_, batch, seq_bucket,
-                            static_cast<std::size_t>(tp_.degree), shard));
+                            static_cast<std::size_t>(tp_.degree), 0));
 }
 
 double
@@ -485,42 +475,26 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
         elem_memo_[n] = elem_us;
     }
 
-    // All shards launch in lockstep; the slowest (widest) shard sets
-    // the step latency.  Element-wise ops run replicated on the full
-    // hidden width on every shard.
+    // All shards launch the same shapes in lockstep, so shard 0's
+    // step is every shard's.  Element-wise ops run replicated on the
+    // full hidden width on every shard.
     double layers = static_cast<double>(model_.layers);
-    double step_us = 0;
-    double attn0_us = 0;
-    for (std::size_t s = 0; s < engines_.size(); ++s) {
-        compiler::Engine &eng = *engines_[s];
-        const compiler::CacheStats before = eng.stats();
-        double attn_us = 0;
-        for (auto [bucket, count] : bucket_counts)
-            attn_us += decodeAttnUs(eng, s, count, bucket);
-        if (s == 0)
-            attn0_us = attn_us;
-        double shard_us = decodeLinearUs(eng, s, n) + elem_us + attn_us;
-        const compiler::CacheStats after = eng.stats();
-        shard_deltas_[s].plan_cache_hits += after.hits - before.hits;
-        shard_deltas_[s].plan_cache_misses += after.misses - before.misses;
-        if (collect_detail_)
-            last_detail_.shard_compute_us.push_back(shard_us * layers);
-        step_us = std::max(step_us, shard_us);
-    }
+    double attn_us = 0;
+    for (auto [bucket, count] : bucket_counts)
+        attn_us += attnUs(kv_scheme_, count, bucket);
+    double step_us = decodeLinearUs(n) + elem_us + attn_us;
+    if (collect_detail_)
+        last_detail_.decode_compute_us = step_us * layers;
 
     // KV-dequant attribution: what the same bucketed attention
     // sub-launches would cost with uncompressed FP16 KV (closed form,
-    // no engine cache traffic), on the critical shard 0 geometry.
-    // Pure accounting — the time itself is already inside decode_us.
+    // no engine cache traffic).  Pure accounting — the time itself is
+    // already inside decode_us.
     if (kv_scheme_ != llm::KvScheme::FP16) {
         double fp16_us = 0;
         for (auto [bucket, count] : bucket_counts)
-            fp16_us += llm::kvSchemeAttentionUs(
-                *engines_[0], llm::KvScheme::FP16,
-                llm::shardAttnShape(model_, count, bucket,
-                                    static_cast<std::size_t>(tp_.degree),
-                                    0));
-        kv_dequant_us_ += (attn0_us - fp16_us) * layers;
+            fp16_us += attnUs(llm::KvScheme::FP16, count, bucket);
+        kv_dequant_us_ += (attn_us - fp16_us) * layers;
     }
 
     // Two ring all-reduces per layer gather the attention output and

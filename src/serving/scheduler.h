@@ -5,10 +5,11 @@
  * The scheduler owns the waiting/running queues and forms one
  * *iteration* at a time.  Queue order and preemption-victim selection
  * are delegated to a SchedulingPolicy (FCFS, priority, SLO-aware EDF),
- * so every policy shares the same KV block accounting through
- * ShardedKvPool (per-device pools under tensor parallelism; one pool at
- * degree 1) and the same recompute-style preemption: a sequence that
- * loses its blocks re-queues and re-prefills its full context later.
+ * so every policy shares the same KV block accounting through one
+ * device's KvBlockPool (under tensor parallelism every device holds
+ * the same state, so one pool models them all) and the same
+ * recompute-style preemption: a sequence that loses its blocks
+ * re-queues and re-prefills its full context later.
  *
  * Two batch-formation regimes:
  *  - **Unchunked** (chunk_tokens == 0): vLLM-style prefill-prioritized
@@ -52,9 +53,9 @@
 #include "gpusim/gpu_spec.h"
 #include "llm/model_config.h"
 #include "llm/tensor_parallel.h"
+#include "serving/kv_block_pool.h"
 #include "serving/policy.h"
 #include "serving/request.h"
-#include "serving/sharded_kv_pool.h"
 
 namespace vqllm::compiler {
 class Engine;
@@ -95,7 +96,7 @@ struct SchedulerConfig
 class Scheduler
 {
   public:
-    Scheduler(const SchedulerConfig &cfg, ShardedKvPool &pool);
+    Scheduler(const SchedulerConfig &cfg, KvBlockPool &pool);
 
     /** One prefill slice scheduled in an iteration. */
     struct PrefillChunk
@@ -181,7 +182,7 @@ class Scheduler
     void requeue(Request *r);
 
     SchedulerConfig cfg_;
-    ShardedKvPool &pool_;
+    KvBlockPool &pool_;
     std::unique_ptr<SchedulingPolicy> policy_;
     /** Waiting queue, kept in policy admission order (requeue()). */
     std::vector<Request *> waiting_;
@@ -195,39 +196,30 @@ class Scheduler
 };
 
 /**
- * Prices scheduler iterations in simulated microseconds, across the
- * shards of a tensor-parallel deployment.
+ * Prices scheduler iterations in simulated microseconds, for one
+ * device of a tensor-parallel deployment.
  *
- * Kernel compilation and costing route through the per-shard
- * compiler::Engine instances, whose memoizing plan caches make
- * repeated (bucketed) shapes cache hits — after the first decode
- * iteration a steady-state simulation prices almost entirely from the
- * cache.  Under TP (degree > 1) every decode step and prefill chunk
- * prices the critical shard's head-sharded attention and column/row
- * -parallel linears per shard (shard geometry from
+ * Kernel compilation and costing route through one compiler::Engine,
+ * whose memoizing plan cache makes repeated (bucketed) shapes cache
+ * hits — after the first decode iteration a steady-state simulation
+ * prices almost entirely from the cache.  Under TP (degree > 1) every
+ * decode step and prefill chunk prices shard 0's head-sharded
+ * attention and column/row-parallel linears (shard geometry from
  * llm::shardLinearShapes / shardAttnShape, the same helpers
  * llm::estimateTensorParallel uses, so the two models stay consistent)
  * plus the two per-layer ring all-reduces via llm::layerAllReduceUs.
+ * The degree splits the model evenly (llm::tpSplitError), so every
+ * shard launches the same shapes and shard 0's price is the step's.
  * Degree 1 takes the exact pre-TP arithmetic: no collectives, unsharded
  * shapes, bit-identical pricing.
  *
- * Engines may be shared across pricers and shards (they are
- * thread-safe); the pricer's own residual memo tables (prefill
- * buckets, element-wise ops) and per-shard cache-delta accounting are
- * not, so create one pricer per simulator.
+ * The engine may be shared across pricers (it is thread-safe); the
+ * pricer's own residual memo tables (prefill buckets, element-wise
+ * ops) are not, so create one pricer per simulator.
  */
 class IterationPricer
 {
   public:
-    /** Plan-cache lookups one shard's pricing performed (the
-     *  attribution works whether shards share one engine or own
-     *  private ones — pricing is sequential within the pricer). */
-    struct ShardCacheDelta
-    {
-        std::uint64_t plan_cache_hits = 0;
-        std::uint64_t plan_cache_misses = 0;
-    };
-
     /**
      * Busy-time decomposition of priced work, microseconds.  The four
      * categories partition every priced microsecond: summed over a run
@@ -271,9 +263,9 @@ class IterationPricer
         };
 
         std::vector<ChunkSpan> chunks;
-        /** Per-shard decode compute (all layers), one entry per TP
-         *  shard; empty when the iteration had no decode batch. */
-        std::vector<double> shard_compute_us;
+        /** Decode compute of one device (all layers; every TP shard
+         *  runs the same); 0 when the iteration had no decode batch. */
+        double decode_compute_us = 0;
         /** Decode-step collective time (0 at degree 1). */
         double decode_comm_us = 0;
         /** Decode batch size of the iteration. */
@@ -288,16 +280,14 @@ class IterationPricer
     static constexpr double kUploadFixedUs = 10.0;
 
     /**
-     * One engine per TP shard (entries may repeat one shared engine):
-     * engines.size() must equal tp.degree, and model.heads must divide
-     * evenly across the degree.  Weight scheme `scheme` prices the
+     * `eng` compiles and costs every kernel; tp.degree must split the
+     * model evenly (llm::tpSplitError).  Weight scheme `scheme` prices the
      * decode linears; KV storage scheme `kv` prices decode attention
      * (FP16 KV prices flash decoding, INT4 the element-wise dequant
      * path, VQ4 / VQ2 compile fused dequant-attention kernels carrying
      * the KV VQConfig) and drives the codebook-residency model.
      */
-    IterationPricer(std::vector<compiler::Engine *> engines,
-                    const llm::LlamaConfig &model,
+    IterationPricer(compiler::Engine &eng, const llm::LlamaConfig &model,
                     llm::QuantScheme scheme, llm::KvScheme kv,
                     const llm::TpConfig &tp);
 
@@ -374,23 +364,12 @@ class IterationPricer
     /** Toggle per-iteration detail collection (off by default). */
     void setCollectDetail(bool on) { collect_detail_ = on; }
 
-    /** Per-shard plan-cache lookup deltas accumulated so far. */
-    const std::vector<ShardCacheDelta> &
-    shardCacheDeltas() const
-    {
-        return shard_deltas_;
-    }
-
-    /** @return the engine shard 0 compiles through. */
-    compiler::Engine &engine() const { return *engines_.front(); }
-
   private:
-    double decodeLinearUs(compiler::Engine &eng, std::size_t shard,
-                          std::size_t batch);
-    double decodeAttnUs(compiler::Engine &eng, std::size_t shard,
-                        std::size_t batch, std::size_t seq_bucket);
+    double decodeLinearUs(std::size_t batch);
+    double attnUs(llm::KvScheme kv, std::size_t batch,
+                  std::size_t seq_bucket);
 
-    std::vector<compiler::Engine *> engines_;
+    compiler::Engine &eng_;
     const gpusim::GpuSpec &spec_;
     const llm::LlamaConfig &model_;
     llm::QuantScheme scheme_;
@@ -403,7 +382,6 @@ class IterationPricer
     Breakdown last_breakdown_;
     IterationDetail last_detail_;
     bool collect_detail_ = false;
-    std::vector<ShardCacheDelta> shard_deltas_;
 
     /** Chunked-prefill slices price FP16 GeMMs (no VQ planning), so
      *  the plan cache cannot memoize them; bucket-level memo stays. */

@@ -11,23 +11,23 @@ namespace vqllm::serving {
 
 namespace {
 
-/** Per-shard pool configs: each device stores its KV-head share of
- *  every cached token, so per-device bytes per token are the shard's
+/** One device's pool config: each device stores its KV-head share of
+ *  every cached token, so per-device bytes per token are that share's
  *  proportional slice of the scheme's full-token footprint. */
-std::vector<KvBlockPoolConfig>
-makeShardConfigs(std::size_t degree, std::uint64_t capacity_per_device,
-                 std::size_t block_tokens, std::uint64_t total_bpt,
-                 std::uint64_t kv_heads)
+KvBlockPoolConfig
+devicePoolConfig(const SimulatorConfig &cfg, const llm::LlamaConfig &model,
+                 std::uint64_t total_bpt)
 {
-    std::vector<KvBlockPoolConfig> shard_cfgs(degree);
-    for (std::size_t i = 0; i < degree; ++i) {
-        std::uint64_t shard_heads = llm::shardSplit(kv_heads, degree, i);
-        shard_cfgs[i].capacity_bytes = capacity_per_device;
-        shard_cfgs[i].block_tokens = block_tokens;
-        shard_cfgs[i].bytes_per_token = std::max<std::uint64_t>(
-            (total_bpt * shard_heads + kv_heads - 1) / kv_heads, 1);
-    }
-    return shard_cfgs;
+    KvBlockPoolConfig pool_cfg;
+    // Checks the TP split first, so the head division below is exact.
+    pool_cfg.capacity_bytes = kvCapacityPerDeviceBytes(cfg, model);
+    const std::uint64_t kv_heads = model.kvHeads();
+    const std::uint64_t device_heads =
+        kv_heads / static_cast<std::uint64_t>(cfg.tp.degree);
+    pool_cfg.block_tokens = cfg.kv_block_tokens;
+    pool_cfg.bytes_per_token = std::max<std::uint64_t>(
+        (total_bpt * device_heads + kv_heads - 1) / kv_heads, 1);
+    return pool_cfg;
 }
 
 } // namespace
@@ -42,11 +42,7 @@ SimulatorCore::SimulatorCore(const SimulatorConfig &cfg)
       kv_scheme_(cfg_.kv_scheme.value_or(llm::defaultKvScheme(cfg_.scheme))),
       total_bpt_(std::max<std::uint64_t>(
           llm::kvSchemeBytesPerToken(model_, kv_scheme_), 1)),
-      kv_capacity_per_device_(kvCapacityPerDeviceBytes(cfg_, model_)),
-      kv_capacity_bytes_(kv_capacity_per_device_ * degree_),
-      pool_(makeShardConfigs(degree_, kv_capacity_per_device_,
-                             cfg_.kv_block_tokens, total_bpt_,
-                             model_.kvHeads())),
+      pool_(devicePoolConfig(cfg_, model_, total_bpt_)),
       scheduler_(cfg_.scheduler, pool_),
       residency_(cfg_.codebook_slots),
       metrics_(cfg_.metrics),
@@ -61,16 +57,11 @@ SimulatorCore::SimulatorCore(const SimulatorConfig &cfg)
     }
     // Private per-run engine unless one is injected: reports then
     // describe exactly this run, and concurrent runMany sims never
-    // contend on one cache.  TP shards are identical GPUs compiling
-    // identical shard shapes, so all shards price through one engine —
-    // per-shard plan-cache deltas still attribute correctly because
-    // the pricer snapshots around each shard's pricing.
+    // contend on one cache.
     eng_ = cfg_.engine != nullptr ? cfg_.engine
                                   : &local_engine_.emplace(spec_);
     plan_stats_before_ = eng_->stats();
-    std::vector<compiler::Engine *> shard_engines(degree_, eng_);
-    pricer_.emplace(shard_engines, model_, cfg_.scheme, kv_scheme_,
-                    cfg_.tp);
+    pricer_.emplace(*eng_, model_, cfg_.scheme, kv_scheme_, cfg_.tp);
     has_codebooks_ = pricer_->codebookGroupBytes() > 0;
 
     // ---- Observability hookup.  Every instrumentation site guards on
@@ -187,10 +178,10 @@ SimulatorCore::step()
             trace_rec_->span(
                 "decode", "decode", 0, t, bd.decode_us,
                 {{"batch", static_cast<double>(det.decode_batch)}});
-            for (std::size_t s = 0; s < det.shard_compute_us.size(); ++s)
+            for (std::size_t s = 0; s < degree_; ++s)
                 trace_rec_->span("decode_compute", "shard_compute",
                                  1 + static_cast<int>(s), t,
-                                 det.shard_compute_us[s]);
+                                 det.decode_compute_us);
             t += bd.decode_us;
         }
         if (bd.comm_us > 0) {
@@ -272,24 +263,20 @@ SimulatorCore::step()
                          "context for request ", r->id);
         running_tokens += r->prefilled_tokens;
     }
-    // Pool-level conservation per shard.  Without sharing, stored
-    // tokens equal the per-sequence sum exactly.  With the prefix
-    // cache, shared blocks store their tokens once in the pool but
-    // once per owner in the sum, so the pool view is bounded by the
-    // sum plus the cache-held tokens — summing seqTokens over
-    // sequences would double-count shared prefixes.
-    for (std::size_t s = 0; s < degree_; ++s) {
-        if (!prefix_cache_)
-            vqllm_assert(pool_.storedTokens(s) == running_tokens,
-                         "pool stored tokens diverged from the running "
-                         "set on shard ", s);
-        else
-            vqllm_assert(pool_.storedTokens(s) <=
-                             running_tokens +
-                                 prefix_cache_->cachedTokens(),
-                         "pool stored tokens exceed running set plus "
-                         "cached prefixes on shard ", s);
-    }
+    // Pool-level conservation.  Without sharing, stored tokens equal
+    // the per-sequence sum exactly.  With the prefix cache, shared
+    // blocks store their tokens once in the pool but once per owner in
+    // the sum, so the pool view is bounded by the sum plus the
+    // cache-held tokens — summing seqTokens over sequences would
+    // double-count shared prefixes.
+    if (!prefix_cache_)
+        vqllm_assert(pool_.storedTokens() == running_tokens,
+                     "pool stored tokens diverged from the running set");
+    else
+        vqllm_assert(pool_.storedTokens() <=
+                         running_tokens + prefix_cache_->cachedTokens(),
+                     "pool stored tokens exceed running set plus "
+                     "cached prefixes");
 }
 
 std::uint64_t
@@ -355,8 +342,8 @@ SimulatorCore::finalize()
     report.decode_tokens = metrics_.decodeTokens();
     report.prefill_tokens = metrics_.prefillTokens();
     report.iterations = iterations_;
-    report.kv_peak_bytes = pool_.peakBytes();
-    report.kv_capacity_bytes = kv_capacity_bytes_;
+    report.kv_peak_bytes = pool_.peakBytes() * degree_;
+    report.kv_capacity_bytes = pool_.config().capacity_bytes * degree_;
     report.codebook_hit_rate =
         has_codebooks_ ? residency_.stats().hitRate() : 1.0;
     const compiler::CacheStats plan_stats = eng_->stats();
@@ -373,7 +360,7 @@ SimulatorCore::finalize()
         report.prefix_matched_tokens = pc.matched_tokens;
         report.prefix_evicted_blocks = pc.evicted_nodes;
         report.prefix_cached_blocks = prefix_cache_->cachedBlocks();
-        report.cow_forks = pool_.cowForks();
+        report.cow_forks = pool_.stats().cow_forks;
         // Fraction of prefill demand served from cache: matched tokens
         // over matched plus actually-prefilled tokens.
         std::uint64_t demand = pc.matched_tokens + report.prefill_tokens;
@@ -397,16 +384,6 @@ SimulatorCore::finalize()
     report.prefill_us = breakdown.prefill_us;
     report.decode_us = breakdown.decode_us;
     report.codebook_upload_us = breakdown.codebook_upload_us;
-    report.shards.resize(degree_);
-    const auto &shard_deltas = pricer_->shardCacheDeltas();
-    for (std::size_t i = 0; i < degree_; ++i) {
-        report.shards[i].kv_peak_bytes = pool_.shard(i).peakBytes();
-        report.shards[i].kv_capacity_bytes = kv_capacity_per_device_;
-        report.shards[i].plan_cache_hits =
-            shard_deltas[i].plan_cache_hits;
-        report.shards[i].plan_cache_misses =
-            shard_deltas[i].plan_cache_misses;
-    }
 
     if (trace_rec_ != nullptr) {
         trace_rec_->setNow(now_us_);
@@ -456,7 +433,7 @@ SimulatorCore::finalize()
     }
 
     // ---- Refcount leak check: with the trace drained and the cache's
-    // references dropped, every block must have returned to the pools.
+    // references dropped, every block must have returned to the pool.
     if (prefix_cache_)
         prefix_cache_->clear();
     vqllm_assert(pool_.usedBlocks() == 0,

@@ -108,7 +108,7 @@ class SimulatorCore
     /** Resolved KV storage scheme of this replica. */
     llm::KvScheme kvScheme() const { return kv_scheme_; }
 
-    /** Full (all-shard) KV bytes per cached token under kvScheme() —
+    /** Full (all-device) KV bytes per cached token under kvScheme() —
      *  what a fleet handoff streams per token. */
     std::uint64_t kvBytesPerToken() const { return total_bpt_; }
 
@@ -121,9 +121,9 @@ class SimulatorCore
     std::size_t degree_;
     llm::KvScheme kv_scheme_;
     std::uint64_t total_bpt_ = 0;
-    std::uint64_t kv_capacity_per_device_ = 0;
-    std::uint64_t kv_capacity_bytes_ = 0;
-    ShardedKvPool pool_;
+    /** One device's pool: every TP shard holds the same KV state, so
+     *  aggregates are degree_ times this pool's. */
+    KvBlockPool pool_;
     Scheduler scheduler_;
     /** Declared after the pool: the cache's destructor drops its block
      *  references and unregisters the reclaimer before the pool dies. */

@@ -10,12 +10,11 @@ std::uint64_t
 kvCapacityPerDeviceBytes(const SimulatorConfig &cfg,
                          const llm::LlamaConfig &model)
 {
-    vqllm_assert(cfg.tp.degree >= 1, "TP degree must be >= 1");
-    vqllm_assert(model.heads % cfg.tp.degree == 0,
-                 "heads must divide evenly across TP ranks");
+    const std::string split_error =
+        llm::tpSplitError(model, cfg.tp.degree);
+    if (!split_error.empty())
+        vqllm_fatal(split_error);
     const auto degree = static_cast<std::size_t>(cfg.tp.degree);
-    vqllm_assert(model.kvHeads() >= degree,
-                 "TP degree exceeds the model's KV heads");
     // Each device holds 1/degree of the weights; its pool gets what
     // that shard leaves free of the per-GPU HBM.
     double weight_bytes = static_cast<double>(model.decoderParams()) *

@@ -28,7 +28,6 @@
 #include "serving/metrics.h"
 #include "serving/request.h"
 #include "serving/scheduler.h"
-#include "serving/sharded_kv_pool.h"
 
 namespace vqllm::compiler {
 class Engine;
@@ -46,6 +45,7 @@ struct SimulatorConfig;
 /**
  * KV bytes one device's pool gets under @p cfg: per-GPU HBM minus the
  * device's weight shard minus the activation reserve.  Fatal when the
+ * TP degree does not split the model evenly (llm::tpSplitError) or the
  * shard alone exceeds the budget.  Shared by ServingSimulator and
  * SimulatorCore so capacity accounting cannot drift between them.
  */
@@ -87,9 +87,11 @@ struct SimulatorConfig
      * Tensor parallelism: degree > 1 serves the model sharded across
      * that many identical GPUs (head-sharded attention, column/row
      * -parallel linears, two ring all-reduces per layer priced into
-     * every decode step and prefill chunk) with one KV pool per device
-     * behind a ShardedKvPool.  Weights shard by the degree, so each
-     * device's pool gets hbm_gb minus its weight shard minus the
+     * every decode step and prefill chunk).  The degree must split
+     * the model evenly (llm::tpSplitError), so every device holds the
+     * same state: the simulator models one device's KV pool and
+     * scales its bytes by the degree.  Weights shard by the degree, so
+     * each device's pool gets hbm_gb minus its weight shard minus the
      * reserve.  Degree 1 is the single-GPU path, bit-identical to a
      * config without this member.
      */
@@ -115,7 +117,7 @@ struct SimulatorConfig
      * report is bit-identical to a build without the cache.
      */
     bool prefix_cache = false;
-    /** Prefix-cache capacity, cached blocks per shard (0 = bounded
+    /** Prefix-cache capacity, cached blocks per device (0 = bounded
      *  only by KV pool pressure via the reclaimer). */
     std::uint64_t prefix_capacity_blocks = 0;
 

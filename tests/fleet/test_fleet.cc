@@ -250,6 +250,22 @@ TEST(FleetDisagg, KvSchemeMismatchAcrossRolesIsRejected)
     EXPECT_DEATH({ FleetSimulator sim(cfg); }, "");
 }
 
+TEST(FleetTrace, TpDegreeBeyondReplicaTracksIsRejected)
+{
+    // Replica i traces on tracks [16 i, 16 i + 16): the scheduler plus
+    // up to 15 shards.  At TP 16 replica 0's last shard would land on
+    // replica 1's scheduler track.
+    FleetConfig cfg = fleetConfig(2, RouterPolicy::RoundRobin, false);
+    cfg.trace = true;
+    for (ReplicaConfig &rep : cfg.replicas)
+        rep.sim.tp.degree = 8;
+    { FleetSimulator fits(cfg); }
+    for (ReplicaConfig &rep : cfg.replicas)
+        rep.sim.tp.degree = kTracksPerReplica;
+    EXPECT_DEATH({ FleetSimulator sim(cfg); },
+                 "fleet tracing supports TP degrees below 16");
+}
+
 // ---------------------------------------------------------------------
 // Heterogeneous fleets (aggregated): different HBM budgets are legal
 // and the SLO-aware router keeps favouring the better-provisioned

@@ -20,7 +20,6 @@
 #include "llm/model_config.h"
 #include "serving/kv_block_pool.h"
 #include "serving/request.h"
-#include "serving/sharded_kv_pool.h"
 #include "serving/simulator.h"
 
 namespace vqllm::serving {
@@ -179,7 +178,7 @@ TEST(KvSchemeCapacity, BlockPoolMultipliesTokensAtEqualBytes)
     }
 }
 
-TEST(KvSchemeCapacity, ShardedPoolKeepsTheMultiplierPerShard)
+TEST(KvSchemeCapacity, TpDevicePoolKeepsTheMultiplier)
 {
     const auto &model = llm::llama7b();
     auto mkPool = [&](llm::KvScheme kv) {
@@ -187,16 +186,13 @@ TEST(KvSchemeCapacity, ShardedPoolKeepsTheMultiplierPerShard)
         cfg.capacity_bytes = 4ull << 30; // per device
         cfg.bytes_per_token = std::max<std::uint64_t>(
             llm::kvSchemeBytesPerToken(model, kv) / 2, 1); // 2-way TP
-        return ShardedKvPool(cfg, 2);
+        return KvBlockPool(cfg);
     };
     auto fp16 = mkPool(llm::KvScheme::FP16);
     auto vq4 = mkPool(llm::KvScheme::VQ4);
-    for (std::size_t s = 0; s < 2; ++s) {
-        double ratio =
-            static_cast<double>(vq4.shard(s).totalBlocks()) /
-            static_cast<double>(fp16.shard(s).totalBlocks());
-        EXPECT_GE(ratio, 2.0) << "shard " << s;
-    }
+    double ratio = static_cast<double>(vq4.totalBlocks()) /
+                   static_cast<double>(fp16.totalBlocks());
+    EXPECT_GE(ratio, 2.0);
 }
 
 TEST(KvSchemeCapacity, CompressedKvRaisesPeakConcurrency)
@@ -257,11 +253,13 @@ TEST(KvSchemeDeterminism, VqKvComposesWithTensorParallelism)
     auto b = ServingSimulator(cfg).run();
     EXPECT_EQ(a.json(), b.json());
     EXPECT_EQ(a.tp_degree, 2u);
-    ASSERT_EQ(a.shards.size(), 2u);
+    EXPECT_EQ(a.kv_capacity_bytes,
+              2 * ServingSimulator(cfg).kvCapacityBytesPerDevice());
     EXPECT_GT(a.completed_requests, 0u);
     EXPECT_EQ(a.kv_scheme, "vq4");
-    // Sharded pools split the compressed bytes/token across KV heads;
-    // the aggregate multiplier is still the compression factor.
+    // The device pool takes its KV-head share of the compressed
+    // bytes/token; the aggregate multiplier is still the compression
+    // factor.
     EXPECT_GE(a.kv_capacity_multiplier, 2.0);
 }
 

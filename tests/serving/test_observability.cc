@@ -168,11 +168,9 @@ TEST(Observability, RegistryAgreesWithReport)
               r.iterations);
 
     // Component metrics published at end of run.
-    ASSERT_NE(reg.findCounter("serving.kv.shard0.block_allocs"),
-              nullptr);
-    EXPECT_DOUBLE_EQ(reg.findGauge("serving.kv.shard0.peak_bytes")
-                         ->value(),
-                     static_cast<double>(r.shards[0].kv_peak_bytes));
+    ASSERT_NE(reg.findCounter("serving.kv.block_allocs"), nullptr);
+    EXPECT_DOUBLE_EQ(reg.findGauge("serving.kv.peak_bytes")->value(),
+                     static_cast<double>(r.kv_peak_bytes));
     ASSERT_NE(reg.findCounter("compiler.plan_cache.misses"), nullptr);
     // Private per-run engine: absolute counters equal the run's deltas.
     EXPECT_EQ(reg.findCounter("compiler.plan_cache.hits")->value(),
@@ -197,7 +195,7 @@ TEST(Observability, ReportJsonParsesShape)
     for (const char *key :
          {"\"ttft\"", "\"busy_time_us\"", "\"prefill_us\"",
           "\"decode_us\"", "\"comm_us\"", "\"codebook_upload_us\"",
-          "\"shards\"", "\"tp_degree\""})
+          "\"kv_peak_bytes\"", "\"tp_degree\""})
         EXPECT_NE(j.find(key), std::string::npos) << key;
 }
 

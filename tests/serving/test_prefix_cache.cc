@@ -26,14 +26,14 @@ struct ThreadGuard
 
 constexpr std::size_t kBt = 16;
 
-ShardedKvPool
-smallSharded(std::uint64_t blocks_per_shard, std::size_t degree)
+KvBlockPool
+smallPool(std::uint64_t blocks)
 {
     KvBlockPoolConfig cfg;
     cfg.block_tokens = kBt;
     cfg.bytes_per_token = 1;
-    cfg.capacity_bytes = blocks_per_shard * kBt;
-    return ShardedKvPool(cfg, degree);
+    cfg.capacity_bytes = blocks * kBt;
+    return KvBlockPool(cfg);
 }
 
 Request
@@ -52,7 +52,7 @@ prefixRequest(std::uint64_t id, std::size_t prompt_len,
 /** Drive one writer through the scheduler protocol: allocate its
  *  context, mark it fully prefilled, index its prefix. */
 void
-writePrefix(ShardedKvPool &pool, PrefixCache &cache, Request &r)
+writePrefix(KvBlockPool &pool, PrefixCache &cache, Request &r)
 {
     ASSERT_TRUE(pool.allocSequence(r.id, r.prompt_len));
     r.prefilled_tokens = r.prompt_len;
@@ -61,7 +61,7 @@ writePrefix(ShardedKvPool &pool, PrefixCache &cache, Request &r)
 
 TEST(PrefixCache, MissThenHitAfterIndexing)
 {
-    auto pool = smallSharded(32, 2);
+    auto pool = smallPool(32);
     PrefixCache cache(pool, {kBt, 0});
 
     Request a = prefixRequest(1, 48, 0, 32);
@@ -77,8 +77,8 @@ TEST(PrefixCache, MissThenHitAfterIndexing)
     cache.attach(b, m);
     EXPECT_EQ(pool.seqTokens(2), 32u);
     // Attach shares the writer's blocks instead of taking free ones:
-    // per shard only the writer's 3 blocks are live.
-    EXPECT_EQ(pool.usedBlocks(), 2u * 3u);
+    // only the writer's 3 blocks are live.
+    EXPECT_EQ(pool.usedBlocks(), 3u);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().matched_tokens, 32u);
     // A different group shares nothing.
@@ -93,7 +93,7 @@ TEST(PrefixCache, MissThenHitAfterIndexing)
 
 TEST(PrefixCache, MatchLeavesOneTokenToPrefill)
 {
-    auto pool = smallSharded(32, 1);
+    auto pool = smallPool(32);
     PrefixCache cache(pool, {kBt, 0});
     Request a = prefixRequest(1, 40, 0, 32);
     writePrefix(pool, cache, a);
@@ -108,15 +108,15 @@ TEST(PrefixCache, MatchLeavesOneTokenToPrefill)
 
 TEST(PrefixCache, PartialTailIsCacheOwnedAndForksOnWrite)
 {
-    auto pool = smallSharded(32, 2);
+    auto pool = smallPool(32);
     PrefixCache cache(pool, {kBt, 0});
 
     Request a = prefixRequest(1, 40, 0, 24); // 1 full node + 8-token tail
     writePrefix(pool, cache, a);
     EXPECT_EQ(cache.cachedBlocks(), 2u);
     EXPECT_EQ(cache.cachedTokens(), 24u);
-    // Per shard: 3 writer blocks + 1 cache-owned partial copy.
-    EXPECT_EQ(pool.usedBlocks(), 2u * 4u);
+    // 3 writer blocks + 1 cache-owned partial copy.
+    EXPECT_EQ(pool.usedBlocks(), 4u);
 
     Request b = prefixRequest(2, 30, 0, 24);
     auto m = cache.match(b);
@@ -127,7 +127,7 @@ TEST(PrefixCache, PartialTailIsCacheOwnedAndForksOnWrite)
     // Seq 2's first divergent write lands in the shared partial tail's
     // slack: the tail COW-forks, leaving the cache's copy untouched.
     ASSERT_TRUE(pool.extendSequence(2, 1));
-    EXPECT_EQ(pool.cowForks(), 1u);
+    EXPECT_EQ(pool.stats().cow_forks, 1u);
     EXPECT_EQ(pool.seqTokens(2), 25u);
     EXPECT_EQ(cache.cachedTokens(), 24u);
 
@@ -142,7 +142,7 @@ TEST(PrefixCache, PartialTailIsCacheOwnedAndForksOnWrite)
 
 TEST(PrefixCache, RollbackAttachRestoresEverything)
 {
-    auto pool = smallSharded(32, 2);
+    auto pool = smallPool(32);
     PrefixCache cache(pool, {kBt, 0});
     Request a = prefixRequest(1, 48, 0, 32);
     writePrefix(pool, cache, a);
@@ -164,7 +164,7 @@ TEST(PrefixCache, RollbackAttachRestoresEverything)
 
 TEST(PrefixCache, EvictionPinsBlocksOfRunningSequences)
 {
-    auto pool = smallSharded(64, 1);
+    auto pool = smallPool(64);
     PrefixCache cache(pool, {kBt, 2}); // room for one 2-node chain
 
     Request a = prefixRequest(1, 48, 0, 32);
@@ -196,7 +196,7 @@ TEST(PrefixCache, EvictionPinsBlocksOfRunningSequences)
 
 TEST(PrefixCache, PoolPressureReclaimsColdPrefixes)
 {
-    auto pool = smallSharded(8, 1);
+    auto pool = smallPool(8);
     PrefixCache cache(pool, {kBt, 0});
 
     Request a = prefixRequest(1, 48, 0, 32); // 3 blocks + 2 cached refs

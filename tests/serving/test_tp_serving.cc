@@ -4,8 +4,9 @@
  * must agree with the analytical llm::estimateTensorParallel model,
  * degree 1 must be bit-identical to the unsharded pricing formula, and
  * TP simulations must stay deterministic across thread counts and
- * repeated runs (sharded pools move raw Request pointers through
- * preemption paths — any lifetime or ordering bug shows up here).
+ * repeated runs (TP runs move raw Request pointers through preemption
+ * paths — any lifetime or ordering bug shows up here), and degrees that
+ * do not split the model evenly must be fatal.
  */
 #include <gtest/gtest.h>
 
@@ -74,12 +75,8 @@ expectReportsIdentical(const ServingReport &a, const ServingReport &b)
     EXPECT_EQ(a.kv_peak_bytes, b.kv_peak_bytes);
     EXPECT_EQ(a.comm_us, b.comm_us);
     EXPECT_EQ(a.comm_fraction, b.comm_fraction);
-    ASSERT_EQ(a.shards.size(), b.shards.size());
-    for (std::size_t i = 0; i < a.shards.size(); ++i) {
-        EXPECT_EQ(a.shards[i].kv_peak_bytes, b.shards[i].kv_peak_bytes);
-        EXPECT_EQ(a.shards[i].plan_cache_misses,
-                  b.shards[i].plan_cache_misses);
-    }
+    EXPECT_EQ(a.kv_capacity_bytes, b.kv_capacity_bytes);
+    EXPECT_EQ(a.plan_cache_misses, b.plan_cache_misses);
 }
 
 // ---------------------------------------------------------------------
@@ -96,8 +93,7 @@ TEST(TpPricing, SteadyStateDecodeMatchesEstimateTensorParallel)
     for (auto scheme : {llm::QuantScheme::FP16, llm::QuantScheme::VQ4}) {
         for (int degree : {2, 4}) {
             compiler::Engine eng(rtx4090());
-            std::vector<compiler::Engine *> engines(degree, &eng);
-            IterationPricer pricer(engines, llm::llama7b(), scheme,
+            IterationPricer pricer(eng, llm::llama7b(), scheme,
                                    llm::defaultKvScheme(scheme),
                                    nvlink(degree));
             auto reqs = decodeBatch(batch, ctx);
@@ -127,7 +123,7 @@ TEST(TpPricing, Degree1IsBitIdenticalToUnshardedFormula)
     const std::size_t ctx = 256;
     compiler::Engine eng(rtx4090());
     compiler::Engine ref_eng(rtx4090());
-    IterationPricer pricer({&eng}, llm::llama7b(), llm::QuantScheme::VQ4,
+    IterationPricer pricer(eng, llm::llama7b(), llm::QuantScheme::VQ4,
                            llm::KvScheme::VQ4, llm::TpConfig{});
     auto reqs = decodeBatch(batch, ctx);
     auto batch_ptrs = ptrs(reqs);
@@ -179,10 +175,9 @@ TEST(TpPricing, ShardedChunkedPrefillConverges)
 TEST(TpPricing, CodebookUploadShrinksWithDegree)
 {
     compiler::Engine eng(rtx4090());
-    IterationPricer single({&eng}, llm::llama7b(), llm::QuantScheme::VQ2,
+    IterationPricer single(eng, llm::llama7b(), llm::QuantScheme::VQ2,
                            llm::KvScheme::VQ2, llm::TpConfig{});
-    std::vector<compiler::Engine *> engines(4, &eng);
-    IterationPricer sharded(engines, llm::llama7b(),
+    IterationPricer sharded(eng, llm::llama7b(),
                             llm::QuantScheme::VQ2, llm::KvScheme::VQ2,
                             nvlink(4));
     ASSERT_GT(single.codebookMissUs(1), 0.0);
@@ -216,9 +211,10 @@ TEST(TpSimulation, Degree1ReportIdenticalToDefaultConfig)
     expectReportsIdentical(a, b);
     EXPECT_EQ(b.tp_degree, 1u);
     EXPECT_EQ(b.comm_us, 0.0);
-    ASSERT_EQ(b.shards.size(), 1u);
-    EXPECT_EQ(b.shards[0].kv_peak_bytes, b.kv_peak_bytes);
-    EXPECT_EQ(b.shards[0].kv_capacity_bytes, b.kv_capacity_bytes);
+    // One device: the aggregate is that device's pool.
+    EXPECT_EQ(b.kv_capacity_bytes,
+              ServingSimulator(tpConfig(1, plain.scheme))
+                  .kvCapacityBytesPerDevice());
 }
 
 TEST(TpSimulation, Degree4ShardsDecodeAndPricesCollectives)
@@ -227,7 +223,6 @@ TEST(TpSimulation, Degree4ShardsDecodeAndPricesCollectives)
     auto tp4 = ServingSimulator(tpConfig(4)).run();
 
     EXPECT_EQ(tp4.tp_degree, 4u);
-    ASSERT_EQ(tp4.shards.size(), 4u);
     // Sharded decode is faster per token...
     EXPECT_LT(tp4.tbt.p50_us, single.tbt.p50_us);
     // ...but pays for collectives.
@@ -236,26 +231,35 @@ TEST(TpSimulation, Degree4ShardsDecodeAndPricesCollectives)
     EXPECT_LT(tp4.comm_fraction, 0.5);
     // Weights shard across devices, so each device's pool exceeds the
     // single-GPU pool and the aggregate grows superlinearly.
-    EXPECT_GT(tp4.shards[0].kv_capacity_bytes, single.kv_capacity_bytes);
+    const std::uint64_t per_device =
+        ServingSimulator(tpConfig(4)).kvCapacityBytesPerDevice();
+    EXPECT_GT(per_device, single.kv_capacity_bytes);
+    EXPECT_EQ(tp4.kv_capacity_bytes, 4 * per_device);
     EXPECT_GT(tp4.kv_capacity_bytes, 4 * single.kv_capacity_bytes);
-    // Per-shard peaks sum to the aggregate high-water mark.
-    std::uint64_t shard_peak_sum = 0;
-    for (const auto &s : tp4.shards)
-        shard_peak_sum += s.kv_peak_bytes;
-    EXPECT_EQ(shard_peak_sum, tp4.kv_peak_bytes);
-    // Symmetric shards sharing one engine: shard 0 takes the cold
-    // misses, later shards hit the already-compiled artifacts.
-    EXPECT_GT(tp4.shards[0].plan_cache_misses, 0u);
-    EXPECT_EQ(tp4.shards[1].plan_cache_misses, 0u);
-    EXPECT_GT(tp4.shards[1].plan_cache_hits, 0u);
+    EXPECT_GT(tp4.plan_cache_misses, 0u);
+
+    // Shards are symmetric, so only shard 0 is priced: one decode step
+    // at degree 4 makes as many plan-cache lookups as at degree 1, not
+    // one set per shard.
+    auto stepLookups = [](int degree) {
+        compiler::Engine eng(rtx4090());
+        IterationPricer pricer(eng, llm::llama7b(), llm::QuantScheme::VQ4,
+                               llm::KvScheme::VQ4, nvlink(degree));
+        auto reqs = decodeBatch(8, 512);
+        pricer.decodeUs(ptrs(reqs));
+        const compiler::CacheStats stats = eng.stats();
+        return stats.hits + stats.misses;
+    };
+    EXPECT_GT(stepLookups(1), 0u);
+    EXPECT_EQ(stepLookups(4), stepLookups(1));
 }
 
 TEST(TpSimulation, PreemptionUnderShardedPoolsIsDeterministic)
 {
     ThreadGuard guard;
-    // Tight per-device pools force preemption/recompute through the
-    // sharded facade; the event loop must stay bit-deterministic across
-    // repeated runs and host thread counts.
+    // A tight per-device pool forces preemption/recompute under TP;
+    // the event loop must stay bit-deterministic across repeated runs
+    // and host thread counts.
     SimulatorConfig cfg = tpConfig(2, llm::QuantScheme::FP16);
     cfg.hbm_gb = 8.5; // ~1.2 GB per-device pool under 7B FP16 shards
     cfg.workload.qps = 10;
@@ -293,6 +297,20 @@ TEST(TpSimulation, RunManyTpConfigsMatchesSerialRuns)
 TEST(TpSimulationDeath, RejectsUnevenHeadSharding)
 {
     EXPECT_DEATH(ServingSimulator(tpConfig(3)), "divide");
+}
+
+TEST(TpSimulationDeath, RejectsUnevenKvHeadSharding)
+{
+    // 40 query heads and the MLP width split five ways; 8 KV heads do
+    // not, so one device could not hold a fifth of the KV cache.
+    llm::LlamaConfig model = llm::llama7b();
+    model.heads = 40;
+    model.kv_heads = 8;
+    model.intermediate = 11000;
+    SimulatorConfig cfg = tpConfig(5);
+    cfg.model = &model;
+    EXPECT_DEATH({ ServingSimulator sim(cfg); },
+                 "TP degree 5 does not divide the model's 8 KV heads");
 }
 
 } // namespace
