@@ -296,8 +296,8 @@ main(int argc, char **argv)
 
     // ---- Plan-cache effect on iteration pricing --------------------
     // The same VQ4 simulation twice against one shared engine: the
-    // first run compiles every kernel cold, the second prices its
-    // steady-state decode iterations entirely from the plan cache.
+    // first run compiles every kernel cold, the second finds every
+    // first-time shape of its pricer in the plan cache.
     serving::ServingReport cold_report, warm_report;
     double cold_ms = 0, warm_ms = 0;
     {
@@ -332,8 +332,9 @@ main(int argc, char **argv)
              std::to_string(warm_report.plan_cache_misses)});
         std::printf("%s\n", cache_tbl.render().c_str());
         std::printf("steady-state iterations repeat a handful of "
-                    "bucketed shapes, so pricing them is\ncache hits; "
-                    "a warm cache removes the cold-compile tail "
+                    "bucketed shapes; the pricer memo\nserves the "
+                    "repeats, so the engine sees each shape once, and "
+                    "a warm cache\nremoves the cold-compile tail "
                     "entirely (%.2fx wall-clock).\n\n",
                     warm_ms > 0 ? cold_ms / warm_ms : 0.0);
     }

@@ -53,7 +53,8 @@ SMOKE_TARGETS = [
 REQUIRED = {
     "BENCH_serving.json": {
         "plan_cache": ["cold_ms", "cached_ms", "speedup",
-                       "cold_hit_rate", "cached_hit_rate"],
+                       "cold_hit_rate", "cached_hit_rate",
+                       "cold_misses", "cached_misses"],
         "tp_sweep[]": ["scheme", "degree", "tokens_per_sec",
                        "tbt_p95_ms", "ttft_p95_ms", "comm_fraction",
                        "kv_capacity_gb", "busy_us", "prefill_us",
@@ -141,6 +142,23 @@ def check_required(doc: dict, name: str) -> None:
             for field in fields:
                 if field not in obj:
                     fail(f"{name}: {key} lacks '{field}'")
+
+
+def check_plan_cache(doc: dict, name: str) -> None:
+    """Semantic checks on bench_serving's plan-cache pair: the cold run
+    compiles, and the rerun on the same engine compiles nothing — every
+    kernel it needs is already cached."""
+    if name != "BENCH_serving.json":
+        return
+    pc = doc["plan_cache"]
+    if pc["cold_misses"] <= 0:
+        fail(f"{name}: plan_cache cold run compiled nothing "
+             f"(cold_misses {pc['cold_misses']})")
+    if pc["cached_misses"] != 0 or pc["cached_hit_rate"] != 1:
+        fail(f"{name}: plan_cache cached run missed the warm cache "
+             f"(cached_misses {pc['cached_misses']}, hit rate "
+             f"{pc['cached_hit_rate']})")
+    print("check_bench_json: plan_cache OK")
 
 
 def check_prefix_sweep(doc: dict, name: str) -> None:
@@ -517,6 +535,7 @@ def main() -> None:
         check_finite(doc, path.name)
         check_sweeps_non_empty(doc, path.name)
         check_required(doc, path.name)
+        check_plan_cache(doc, path.name)
         check_prefix_sweep(doc, path.name)
         check_kv_sweep(doc, path.name)
         check_fleet_sweep(doc, path.name)

@@ -20,6 +20,17 @@ using serving::jsonDouble;
 using serving::jsonU64;
 using serving::writeLatency;
 
+/** Merge the ascending run `run` into the ascending `pooled`. */
+void
+mergeSorted(std::vector<double> &pooled, const std::vector<double> &run,
+            std::vector<double> &scratch)
+{
+    scratch.resize(pooled.size() + run.size());
+    std::merge(pooled.begin(), pooled.end(), run.begin(), run.end(),
+               scratch.begin());
+    pooled.swap(scratch);
+}
+
 } // namespace
 
 const char *
@@ -338,24 +349,26 @@ FleetSimulator::run(std::vector<serving::Request> &trace)
                  "fleet drained with requests unaccounted for");
 
     // ---- Assemble the fleet report.  Latencies are origin-level:
-    // TTFT/TBT pool every replica's samples (summarize() sorts, so
-    // concatenation order is irrelevant); E2E comes from the fleet's
-    // own completion bookkeeping (a disaggregated request's E2E spans
-    // both phases plus the transfer).
+    // TTFT/TBT pool every replica's samples.  Each replica's finalize()
+    // leaves its samples sorted, so the pool is a merge of sorted runs,
+    // the same array a sort of the concatenation gives.  E2E comes from
+    // the fleet's own completion bookkeeping (a disaggregated request's
+    // E2E spans both phases plus the transfer).
     FleetReport report;
-    std::vector<double> ttft, tbt;
+    report.replicas.resize(replicas_.size());
+    std::vector<double> ttft, tbt, scratch;
     double sim_time_us = 0;
     std::uint64_t decode_tokens = 0;
-    for (const Replica &rep : replicas_) {
+    for (std::size_t i = 0; i < replicas_.size(); ++i) {
+        const Replica &rep = replicas_[i];
+        report.replicas[i].report = rep.core->finalize();
         const serving::MetricsCollector &c = rep.core->collector();
-        ttft.insert(ttft.end(), c.ttftSamples().begin(),
-                    c.ttftSamples().end());
-        tbt.insert(tbt.end(), c.tbtSamples().begin(),
-                   c.tbtSamples().end());
+        mergeSorted(ttft, c.ttftSamples(), scratch);
+        mergeSorted(tbt, c.tbtSamples(), scratch);
         sim_time_us = std::max(sim_time_us, rep.core->now());
     }
-    report.ttft = serving::summarize(std::move(ttft));
-    report.tbt = serving::summarize(std::move(tbt));
+    report.ttft = serving::summarizeSorted(ttft);
+    report.tbt = serving::summarizeSorted(tbt);
     report.e2e = serving::summarize(e2e_samples_);
     report.sim_time_us = sim_time_us;
     report.completed_requests = completed_;
@@ -366,14 +379,12 @@ FleetSimulator::run(std::vector<serving::Request> &trace)
     report.handoff_rejects = handoff_rejects_;
     report.router = routerPolicyName(cfg_.router);
     report.disaggregated = disaggregated_;
-    report.replicas.resize(replicas_.size());
     for (std::size_t i = 0; i < replicas_.size(); ++i) {
         FleetReplicaReport &rr = report.replicas[i];
         rr.role = replicas_[i].role;
         rr.routed = replicas_[i].routed;
         rr.handoffs_in = replicas_[i].handoffs_in;
         rr.handoffs_out = replicas_[i].handoffs_out;
-        rr.report = replicas_[i].core->finalize();
         decode_tokens += rr.report.decode_tokens;
         if (i == 0) {
             report.util_min = rr.report.utilization;

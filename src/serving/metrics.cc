@@ -115,21 +115,35 @@ MetricsCollector::recordPreemption()
         c_preemptions_->add();
 }
 
+void
+MetricsCollector::sortSamples()
+{
+    std::sort(ttft_us_.begin(), ttft_us_.end());
+    std::sort(tbt_us_.begin(), tbt_us_.end());
+    std::sort(e2e_us_.begin(), e2e_us_.end());
+}
+
 LatencyStats
-summarize(std::vector<double> samples)
+summarizeSorted(const std::vector<double> &sorted)
 {
     LatencyStats s;
-    if (samples.empty())
+    if (sorted.empty())
         return s;
-    std::sort(samples.begin(), samples.end());
-    s.count = samples.size();
-    s.mean_us = std::accumulate(samples.begin(), samples.end(), 0.0) /
-                static_cast<double>(samples.size());
-    s.p50_us = percentile(samples, 0.50);
-    s.p95_us = percentile(samples, 0.95);
-    s.p99_us = percentile(samples, 0.99);
-    s.max_us = samples.back();
+    s.count = sorted.size();
+    s.mean_us = std::accumulate(sorted.begin(), sorted.end(), 0.0) /
+                static_cast<double>(sorted.size());
+    s.p50_us = percentile(sorted, 0.50);
+    s.p95_us = percentile(sorted, 0.95);
+    s.p99_us = percentile(sorted, 0.99);
+    s.max_us = sorted.back();
     return s;
+}
+
+LatencyStats
+summarize(std::vector<double> &samples)
+{
+    std::sort(samples.begin(), samples.end());
+    return summarizeSorted(samples);
 }
 
 std::string

@@ -44,8 +44,12 @@ struct LatencyStats
  */
 double percentile(const std::vector<double> &sorted, double q);
 
-/** Summarize a latency population (sorts a copy; empty input → zeros). */
-LatencyStats summarize(std::vector<double> samples);
+/** Summarize a latency population already in ascending order (empty
+ *  input → zeros). */
+LatencyStats summarizeSorted(const std::vector<double> &sorted);
+
+/** Sort `samples` ascending in place and summarize them. */
+LatencyStats summarize(std::vector<double> &samples);
 
 /** JSON number for a double at %.17g (round-trips exactly). */
 std::string jsonDouble(double v);
@@ -76,6 +80,11 @@ class MetricsCollector
     void recordDecodeTokens(std::uint64_t n);
     void recordPrefillTokens(std::uint64_t n);
     void recordPreemption();
+
+    /** Sort the three latency populations ascending, in place (the
+     *  simulator does so once, at finalize, and keeps the sorted runs
+     *  so a fleet can merge its replicas' populations). */
+    void sortSamples();
 
     const std::vector<double> &ttftSamples() const { return ttft_us_; }
     const std::vector<double> &tbtSamples() const { return tbt_us_; }

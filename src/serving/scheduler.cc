@@ -1,6 +1,7 @@
 #include "serving/scheduler.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/logging.h"
 #include "compiler/engine.h"
@@ -32,6 +33,37 @@ sliceTokens(std::size_t remaining, std::size_t budget, std::size_t avail)
     if (take == remaining)
         --take;
     return take;
+}
+
+/** Bits per field of a packed pricer-memo key. */
+constexpr unsigned kKeyFieldBits = 21;
+
+/**
+ * Pack up to three small integers into one memo key.  Each field must
+ * fit in kKeyFieldBits bits, so distinct field tuples never collide.
+ */
+std::uint64_t
+packKey(std::uint64_t a, std::uint64_t b = 0, std::uint64_t c = 0)
+{
+    constexpr std::uint64_t kMax = (std::uint64_t{1} << kKeyFieldBits) - 1;
+    vqllm_assert(a <= kMax && b <= kMax && c <= kMax,
+                 "pricer memo key field out of range: (", a, ", ", b,
+                 ", ", c, ")");
+    return (a << (2 * kKeyFieldBits)) | (b << kKeyFieldBits) | c;
+}
+
+/** The memo entry for `key`, computed by `price()` on first use. */
+template <class Price>
+double
+memoized(std::unordered_map<std::uint64_t, double> &memo,
+         std::uint64_t key, Price price)
+{
+    auto it = memo.find(key);
+    if (it != memo.end())
+        return it->second;
+    double us = price();
+    memo.emplace(key, us);
+    return us;
 }
 
 } // namespace
@@ -401,19 +433,13 @@ IterationPricer::prefillChunkUs(std::size_t tokens, std::size_t context)
     };
     constexpr std::size_t kFine = kSeqBucket / 8;
     tokens = std::max<std::size_t>(tokens, 1);
-    auto key = std::make_pair(tokens < kSeqBucket
-                                  ? bucketTo(tokens, kFine)
-                                  : bucketTo(tokens, kSeqBucket),
-                              context == 0 ? 0
-                                           : bucketTo(context, kSeqBucket));
-    auto memo = prefill_memo_.find(key);
-    if (memo != prefill_memo_.end())
-        return memo->second;
-
-    double us = llm::estimateChunkedPrefillUs(spec_, model_, key.first,
-                                              key.second, tp_);
-    prefill_memo_[key] = us;
-    return us;
+    std::size_t slice = tokens < kSeqBucket ? bucketTo(tokens, kFine)
+                                            : bucketTo(tokens, kSeqBucket);
+    std::size_t history = context == 0 ? 0 : bucketTo(context, kSeqBucket);
+    return memoized(prefill_memo_, packKey(slice, history), [&] {
+        return llm::estimateChunkedPrefillUs(spec_, model_, slice, history,
+                                             tp_);
+    });
 }
 
 double
@@ -426,26 +452,31 @@ IterationPricer::prefillCommUs(std::size_t tokens) const
 double
 IterationPricer::decodeLinearUs(std::size_t batch)
 {
-    // No pricer-side memo: the engine's plan cache memoizes the VQ
-    // kernel compiles, so repeated batch sizes are cache hits there
-    // (and the FP16/EWQ closed forms are cheap enough to re-evaluate).
-    double us = 0;
-    std::size_t degree = static_cast<std::size_t>(tp_.degree);
-    for (auto [n, k] : llm::shardLinearShapes(model_, degree, 0)) {
-        engine::GemmShape shape{batch, n, k};
-        us += llm::schemeLinearUs(eng_, scheme_, shape);
-    }
-    return us;
+    return memoized(linear_memo_, packKey(batch), [&] {
+        double us = 0;
+        std::size_t degree = static_cast<std::size_t>(tp_.degree);
+        for (auto [n, k] : llm::shardLinearShapes(model_, degree, 0)) {
+            engine::GemmShape shape{batch, n, k};
+            us += llm::schemeLinearUs(eng_, scheme_, shape);
+        }
+        return us;
+    });
 }
 
 double
 IterationPricer::attnUs(llm::KvScheme kv, std::size_t batch,
                         std::size_t seq_bucket)
 {
-    return llm::kvSchemeAttentionUs(
-        eng_, kv,
-        llm::shardAttnShape(model_, batch, seq_bucket,
-                            static_cast<std::size_t>(tp_.degree), 0));
+    // The KV scheme is part of the key: the FP16 twin priced for
+    // kvDequantUs must not answer for the priced scheme.
+    std::uint64_t key = packKey(static_cast<std::uint64_t>(kv), batch,
+                                seq_bucket / kSeqBucket);
+    return memoized(attn_memo_, key, [&] {
+        return llm::kvSchemeAttentionUs(
+            eng_, kv,
+            llm::shardAttnShape(model_, batch, seq_bucket,
+                                static_cast<std::size_t>(tp_.degree), 0));
+    });
 }
 
 double
@@ -456,46 +487,48 @@ IterationPricer::decodeUs(const std::vector<Request *> &batch)
 
     // Attention over a ragged batch: group sequences into context
     // buckets and price one homogeneous sub-launch per bucket
-    // (flash-decoding style).
-    std::map<std::size_t, std::size_t> bucket_counts;
+    // (flash-decoding style), in ascending bucket order.
+    std::size_t top = 0;
     for (const Request *r : batch) {
         std::size_t ctx = std::max<std::size_t>(r->contextTokens(), 1);
-        std::size_t bucket =
-            ((ctx + kSeqBucket - 1) / kSeqBucket) * kSeqBucket;
-        ++bucket_counts[bucket];
-    }
-
-    std::size_t n = batch.size();
-    auto elem_memo = elem_memo_.find(n);
-    double elem_us;
-    if (elem_memo != elem_memo_.end()) {
-        elem_us = elem_memo->second;
-    } else {
-        elem_us = llm::elementwiseLayerLatencyUs(spec_, n, model_.hidden);
-        elem_memo_[n] = elem_us;
+        std::size_t bucket = (ctx + kSeqBucket - 1) / kSeqBucket;
+        if (bucket >= bucket_counts_.size())
+            bucket_counts_.resize(bucket + 1, 0);
+        ++bucket_counts_[bucket];
+        top = std::max(top, bucket);
     }
 
     // All shards launch the same shapes in lockstep, so shard 0's
     // step is every shard's.  Element-wise ops run replicated on the
     // full hidden width on every shard.
-    double layers = static_cast<double>(model_.layers);
-    double attn_us = 0;
-    for (auto [bucket, count] : bucket_counts)
-        attn_us += attnUs(kv_scheme_, count, bucket);
-    double step_us = decodeLinearUs(n) + elem_us + attn_us;
-    if (collect_detail_)
-        last_detail_.decode_compute_us = step_us * layers;
-
+    //
     // KV-dequant attribution: what the same bucketed attention
     // sub-launches would cost with uncompressed FP16 KV (closed form,
     // no engine cache traffic).  Pure accounting — the time itself is
     // already inside decode_us.
-    if (kv_scheme_ != llm::KvScheme::FP16) {
-        double fp16_us = 0;
-        for (auto [bucket, count] : bucket_counts)
-            fp16_us += attnUs(llm::KvScheme::FP16, count, bucket);
-        kv_dequant_us_ += (attn_us - fp16_us) * layers;
+    const bool attribute = kv_scheme_ != llm::KvScheme::FP16;
+    double attn_us = 0;
+    double fp16_us = 0;
+    for (std::size_t bucket = 1; bucket <= top; ++bucket) {
+        std::size_t count = std::exchange(bucket_counts_[bucket], 0);
+        if (count == 0)
+            continue;
+        attn_us += attnUs(kv_scheme_, count, bucket * kSeqBucket);
+        if (attribute)
+            fp16_us +=
+                attnUs(llm::KvScheme::FP16, count, bucket * kSeqBucket);
     }
+
+    std::size_t n = batch.size();
+    double elem_us = memoized(elem_memo_, packKey(n), [&] {
+        return llm::elementwiseLayerLatencyUs(spec_, n, model_.hidden);
+    });
+    double layers = static_cast<double>(model_.layers);
+    double step_us = decodeLinearUs(n) + elem_us + attn_us;
+    if (collect_detail_)
+        last_detail_.decode_compute_us = step_us * layers;
+    if (attribute)
+        kv_dequant_us_ += (attn_us - fp16_us) * layers;
 
     // Two ring all-reduces per layer gather the attention output and
     // reduce the MLP partials (0 at degree 1).

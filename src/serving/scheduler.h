@@ -36,18 +36,19 @@
  * gpusim::CostModel).  Decode attention is priced per context-length
  * bucket — mirroring flash-decoding's homogeneous sub-launches over a
  * ragged batch — and prefill slices via llm::estimateChunkedPrefillUs
- * on the (slice, context) bucket.  Kernel-level memoization lives in
- * the engine's plan cache: steady-state decode iterations repeat a
- * handful of bucketed shapes, so pricing them is cache hits, which
- * keeps a multi-minute simulation to a few hundred planner
- * invocations.
+ * on the (slice, context) bucket.  Steady-state decode iterations
+ * repeat a handful of bucketed shapes, so the pricer memoizes every
+ * price it computes on small integer keys: the engine (and its plan
+ * cache) sees each shape once, which keeps a multi-minute simulation
+ * to a few hundred planner invocations and a few thousand engine
+ * lookups.
  */
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <map>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "gpusim/gpu_spec.h"
@@ -200,22 +201,24 @@ class Scheduler
  * device of a tensor-parallel deployment.
  *
  * Kernel compilation and costing route through one compiler::Engine,
- * whose memoizing plan cache makes repeated (bucketed) shapes cache
- * hits — after the first decode iteration a steady-state simulation
- * prices almost entirely from the cache.  Under TP (degree > 1) every
- * decode step and prefill chunk prices shard 0's head-sharded
- * attention and column/row-parallel linears (shard geometry from
- * llm::shardLinearShapes / shardAttnShape, the same helpers
- * llm::estimateTensorParallel uses, so the two models stay consistent)
- * plus the two per-layer ring all-reduces via llm::layerAllReduceUs.
+ * consulted only the first time the pricer sees a bucketed shape: the
+ * decode linears (keyed on batch size), decode attention (KV scheme,
+ * sub-batch, context bucket), prefill slices (slice and context
+ * buckets) and element-wise ops (batch size) are each memoized here,
+ * so a steady-state decode step is a few integer-keyed lookups.
+ * Under TP (degree > 1) every decode step and prefill chunk prices
+ * shard 0's head-sharded attention and column/row-parallel linears
+ * (shard geometry from llm::shardLinearShapes / shardAttnShape, the
+ * same helpers llm::estimateTensorParallel uses, so the two models
+ * stay consistent) plus the two per-layer ring all-reduces via
+ * llm::layerAllReduceUs.
  * The degree splits the model evenly (llm::tpSplitError), so every
  * shard launches the same shapes and shard 0's price is the step's.
  * Degree 1 takes the exact pre-TP arithmetic: no collectives, unsharded
  * shapes, bit-identical pricing.
  *
  * The engine may be shared across pricers (it is thread-safe); the
- * pricer's own residual memo tables (prefill buckets, element-wise
- * ops) are not, so create one pricer per simulator.
+ * pricer's memo tables are not, so create one pricer per simulator.
  */
 class IterationPricer
 {
@@ -383,10 +386,18 @@ class IterationPricer
     IterationDetail last_detail_;
     bool collect_detail_ = false;
 
-    /** Chunked-prefill slices price FP16 GeMMs (no VQ planning), so
-     *  the plan cache cannot memoize them; bucket-level memo stays. */
-    std::map<std::pair<std::size_t, std::size_t>, double> prefill_memo_;
-    std::map<std::size_t, double> elem_memo_;
+    /** Price memo of one path, keyed on packed integer fields
+     *  (scheduler.cc packKey); pricing is a pure function of the key
+     *  for a given pricer, so a hit returns the bit-identical price. */
+    using PriceMemo = std::unordered_map<std::uint64_t, double>;
+    PriceMemo linear_memo_;
+    PriceMemo attn_memo_;
+    PriceMemo prefill_memo_;
+    PriceMemo elem_memo_;
+    /** decodeUs scratch: sequences per context bucket, indexed by
+     *  bucket number (context / kSeqBucket, rounded up); all zero
+     *  between calls. */
+    std::vector<std::size_t> bucket_counts_;
 };
 
 } // namespace vqllm::serving

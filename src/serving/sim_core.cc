@@ -326,9 +326,10 @@ SimulatorCore::finalize()
     finalized_ = true;
 
     ServingReport report;
-    report.ttft = summarize(metrics_.ttftSamples());
-    report.tbt = summarize(metrics_.tbtSamples());
-    report.e2e = summarize(metrics_.e2eSamples());
+    metrics_.sortSamples();
+    report.ttft = summarizeSorted(metrics_.ttftSamples());
+    report.tbt = summarizeSorted(metrics_.tbtSamples());
+    report.e2e = summarizeSorted(metrics_.e2eSamples());
     report.sim_time_us = now_us_;
     report.busy_time_us = busy_us_;
     report.utilization = now_us_ > 0 ? busy_us_ / now_us_ : 0;

@@ -76,8 +76,8 @@ struct SimulatorConfig
      * run constructs a private engine, so its report's plan-cache
      * counters describe exactly this run and concurrent runMany sims
      * stay independent.  Injecting a shared engine keeps its kernel
-     * cache warm across runs (steady-state pricing is then cache hits
-     * from iteration one); the report's cache counters are the delta
+     * cache warm across runs (every shape the run's pricer asks for
+     * is then a cache hit); the report's cache counters are the delta
      * observed by this run, which double-counts under concurrent runs
      * sharing one engine.
      */

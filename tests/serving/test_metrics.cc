@@ -4,6 +4,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "serving/metrics.h"
 
 namespace vqllm::serving {
@@ -43,7 +45,9 @@ TEST(Percentile, ClampsQuantile)
 
 TEST(Summarize, UnsortedInputHandled)
 {
-    auto s = summarize({5, 1, 3, 2, 4});
+    std::vector<double> samples{5, 1, 3, 2, 4};
+    auto s = summarize(samples);
+    EXPECT_TRUE(std::is_sorted(samples.begin(), samples.end()));
     EXPECT_EQ(s.count, 5u);
     EXPECT_DOUBLE_EQ(s.mean_us, 3.0);
     EXPECT_DOUBLE_EQ(s.p50_us, 3.0);
@@ -66,7 +70,8 @@ TEST(Summarize, PercentilesOrdered)
 
 TEST(Summarize, EmptyGivesZeros)
 {
-    auto s = summarize({});
+    std::vector<double> samples;
+    auto s = summarize(samples);
     EXPECT_EQ(s.count, 0u);
     EXPECT_DOUBLE_EQ(s.p99_us, 0.0);
 }
@@ -90,7 +95,8 @@ TEST(MetricsCollector, AccumulatesCounters)
 TEST(ServingReport, SummaryMentionsKeyNumbers)
 {
     ServingReport r;
-    r.ttft = summarize({1000.0});
+    std::vector<double> ttft{1000.0};
+    r.ttft = summarize(ttft);
     r.tokens_per_sec = 123.4;
     r.sim_time_us = 2e6;
     r.completed_requests = 42;

@@ -1,9 +1,10 @@
 /**
  * @file
- * Serving-simulator plan-cache tests: steady-state decode pricing is
- * almost entirely plan-cache hits, reports are bit-identical whether
- * the cache retains artifacts or not, and a pre-warmed shared engine
- * prices from hits starting with the first iteration.
+ * Serving-simulator plan-cache tests: steady-state decode pricing
+ * compiles nothing and rarely reaches the engine, reports are
+ * bit-identical whether the cache retains artifacts or not, and a
+ * pre-warmed shared engine prices from hits starting with the first
+ * iteration.
  */
 #include <gtest/gtest.h>
 
@@ -44,14 +45,21 @@ expectReportsIdentical(const ServingReport &a, const ServingReport &b)
 
 TEST(ServingPlanCache, SteadyStateDecodePricesFromCache)
 {
-    auto report = ServingSimulator(vqConfig()).run();
+    compiler::Engine eng(gpusim::rtx4090());
+    auto cfg = vqConfig();
+    cfg.engine = &eng;
+    auto report = ServingSimulator(cfg).run();
     ASSERT_GT(report.iterations, 10u);
-    // VQ pricing compiles through the engine every iteration; after
-    // the first decode iteration the bucketed shapes repeat, so the
-    // run-wide hit rate must clear 90% (acceptance criterion).
-    EXPECT_GT(report.plan_cache_hits + report.plan_cache_misses, 0u);
-    EXPECT_GE(report.planCacheHitRate(), 0.9);
+    // Steady-state decode compiles nothing: every engine miss is a
+    // distinct kernel the cache still holds (nothing was compiled
+    // twice), and the pricer answers repeated bucketed shapes itself,
+    // so the engine sees fewer lookups than there are iterations.
+    const std::uint64_t lookups =
+        report.plan_cache_hits + report.plan_cache_misses;
+    EXPECT_GT(lookups, 0u);
     EXPECT_EQ(report.plan_cache_evictions, 0u);
+    EXPECT_EQ(report.plan_cache_misses, eng.stats().size);
+    EXPECT_LT(lookups, report.iterations);
 }
 
 TEST(ServingPlanCache, CachedAndUncachedRunsAreBitIdentical)
