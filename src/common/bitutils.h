@@ -57,13 +57,16 @@ class BitStream
     get(std::size_t i) const
     {
         vqllm_assert(i < count_, "index ", i, " out of range ", count_);
+        // Gather the (at most five) bytes covering the value into one
+        // word, then shift and mask; no byte past the value is read.
         std::size_t bit_pos = i * bitsPerValue_;
-        std::uint32_t value = 0;
-        for (unsigned b = 0; b < bitsPerValue_; ++b) {
-            if (bytes_[(bit_pos + b) / 8] & (1u << ((bit_pos + b) % 8)))
-                value |= (1u << b);
-        }
-        return value;
+        std::size_t first = bit_pos / 8;
+        std::size_t last = (bit_pos + bitsPerValue_ - 1) / 8;
+        std::uint64_t word = 0;
+        for (std::size_t b = first; b <= last; ++b)
+            word |= std::uint64_t{bytes_[b]} << (8 * (b - first));
+        std::uint64_t mask = (std::uint64_t{1} << bitsPerValue_) - 1;
+        return static_cast<std::uint32_t>((word >> (bit_pos % 8)) & mask);
     }
 
     /** @return number of stored values. */

@@ -48,6 +48,9 @@ activeIsa()
 #endif
 }
 
+/** Rows per squaredDistances8 call (one 8-float block per coordinate). */
+inline constexpr std::size_t kRowLanes = 8;
+
 #if defined(VQLLM_SIMD_AVX2)
 
 namespace detail {
@@ -127,6 +130,25 @@ fmaInto(float *acc, const float *x, float s, std::size_t n)
         acc[i] += s * x[i];
 }
 
+/**
+ * out[l] = sum_d (q[d] - rows[d * kRowLanes + l])^2 for l in [0, 8):
+ * one query against eight rows stored coordinate-major, lane-parallel
+ * with no horizontal sum.  The summation order differs from
+ * squaredDistance (last bits may differ), so callers use it as a filter.
+ */
+inline void
+squaredDistances8(const float *q, const float *rows, std::size_t dim,
+                  float *out)
+{
+    __m256 acc = _mm256_setzero_ps();
+    for (std::size_t d = 0; d < dim; ++d) {
+        __m256 t = _mm256_sub_ps(_mm256_set1_ps(q[d]),
+                                 _mm256_loadu_ps(rows + d * kRowLanes));
+        acc = _mm256_add_ps(acc, _mm256_mul_ps(t, t));
+    }
+    _mm256_storeu_ps(out, acc);
+}
+
 #elif defined(VQLLM_SIMD_SSE2)
 
 namespace detail {
@@ -183,6 +205,29 @@ fmaInto(float *acc, const float *x, float s, std::size_t n)
         acc[i] += s * x[i];
 }
 
+/**
+ * out[l] = sum_d (q[d] - rows[d * kRowLanes + l])^2 for l in [0, 8):
+ * one query against eight rows stored coordinate-major, lane-parallel
+ * with no horizontal sum.  The summation order differs from
+ * squaredDistance (last bits may differ), so callers use it as a filter.
+ */
+inline void
+squaredDistances8(const float *q, const float *rows, std::size_t dim,
+                  float *out)
+{
+    __m128 lo = _mm_setzero_ps();
+    __m128 hi = _mm_setzero_ps();
+    for (std::size_t d = 0; d < dim; ++d) {
+        __m128 qd = _mm_set1_ps(q[d]);
+        __m128 tl = _mm_sub_ps(qd, _mm_loadu_ps(rows + d * kRowLanes));
+        __m128 th = _mm_sub_ps(qd, _mm_loadu_ps(rows + d * kRowLanes + 4));
+        lo = _mm_add_ps(lo, _mm_mul_ps(tl, tl));
+        hi = _mm_add_ps(hi, _mm_mul_ps(th, th));
+    }
+    _mm_storeu_ps(out, lo);
+    _mm_storeu_ps(out + 4, hi);
+}
+
 #elif defined(VQLLM_SIMD_NEON)
 
 inline float
@@ -227,6 +272,30 @@ fmaInto(float *acc, const float *x, float s, std::size_t n)
         acc[i] += s * x[i];
 }
 
+/**
+ * out[l] = sum_d (q[d] - rows[d * kRowLanes + l])^2 for l in [0, 8):
+ * one query against eight rows stored coordinate-major, lane-parallel
+ * with no horizontal sum.  The summation order differs from
+ * squaredDistance (last bits may differ), so callers use it as a filter.
+ */
+inline void
+squaredDistances8(const float *q, const float *rows, std::size_t dim,
+                  float *out)
+{
+    float32x4_t lo = vdupq_n_f32(0.0f);
+    float32x4_t hi = vdupq_n_f32(0.0f);
+    for (std::size_t d = 0; d < dim; ++d) {
+        float32x4_t qd = vdupq_n_f32(q[d]);
+        float32x4_t tl = vsubq_f32(qd, vld1q_f32(rows + d * kRowLanes));
+        float32x4_t th =
+            vsubq_f32(qd, vld1q_f32(rows + d * kRowLanes + 4));
+        lo = vmlaq_f32(lo, tl, tl);
+        hi = vmlaq_f32(hi, th, th);
+    }
+    vst1q_f32(out, lo);
+    vst1q_f32(out + 4, hi);
+}
+
 #else // scalar fallback
 
 inline float
@@ -254,6 +323,25 @@ fmaInto(float *acc, const float *x, float s, std::size_t n)
 {
     for (std::size_t i = 0; i < n; ++i)
         acc[i] += s * x[i];
+}
+
+/**
+ * out[l] = sum_d (q[d] - rows[d * kRowLanes + l])^2 for l in [0, 8):
+ * one query against eight rows stored coordinate-major, lane-parallel
+ * with no horizontal sum.  The summation order differs from
+ * squaredDistance (last bits may differ), so callers use it as a filter.
+ */
+inline void
+squaredDistances8(const float *q, const float *rows, std::size_t dim,
+                  float *out)
+{
+    for (std::size_t l = 0; l < kRowLanes; ++l)
+        out[l] = 0.0f;
+    for (std::size_t d = 0; d < dim; ++d)
+        for (std::size_t l = 0; l < kRowLanes; ++l) {
+            float t = q[d] - rows[d * kRowLanes + l];
+            out[l] += t * t;
+        }
 }
 
 #endif

@@ -1,6 +1,7 @@
 #include "gpusim/bank_conflict.h"
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.h"
 
@@ -15,27 +16,43 @@ warpTransactions(const GpuSpec &spec,
     vqllm_assert(spec.smem_banks > 0, "smem_banks must be positive");
     vqllm_assert(static_cast<int>(lane_byte_addrs.size()) <= spec.warp_size,
                  "more lanes than warp size");
+    vqllm_assert(lane_byte_addrs.size() <= kMaxWarpLanes,
+                 "more than ", kMaxWarpLanes, " lanes");
     const unsigned word = 4;
     unsigned phases = (bytes_per_lane + word - 1) / word;
 
     // Phase p reads word w + p for each lane word w.  The common shift
     // keeps distinct words distinct and rotates every word's bank by p,
     // so each phase has phase 0's degree: the most distinct words
-    // addressed in any one bank.  Scratch is per thread and sized by the
-    // call, not by an assumed warp width or bank count.
-    thread_local std::vector<std::uint32_t> words;
-    thread_local std::vector<std::uint32_t> bank_words;
-    words.clear();
-    for (std::uint32_t addr : lane_byte_addrs)
-        words.push_back(addr / word);
-    std::sort(words.begin(), words.end());
-    words.erase(std::unique(words.begin(), words.end()), words.end());
-
+    // addressed in any one bank.  Each lane's word is compared with the
+    // distinct words seen so far: a new word is the (same + 1)-th in its
+    // bank, and the last word of a bank carries the bank's count.  Slots
+    // past the distinct words hold a sentinel that no word (addr / 4) or
+    // bank equals, so the comparison runs in whole groups of 8.
+    constexpr std::uint32_t kNone = 0xffffffffu;
+    std::array<std::uint32_t, kMaxWarpLanes> words, banks_of;
+    words.fill(kNone);
+    banks_of.fill(kNone);
+    std::size_t distinct = 0;
     const auto banks = static_cast<std::uint32_t>(spec.smem_banks);
-    bank_words.assign(banks, 0);
     std::uint32_t degree = 1; // an empty warp still issues one per phase
-    for (std::uint32_t w : words)
-        degree = std::max(degree, ++bank_words[w % banks]);
+    for (std::uint32_t addr : lane_byte_addrs) {
+        std::uint32_t w = addr / word;
+        std::uint32_t bank = w % banks;
+        std::uint32_t seen = 0;
+        std::uint32_t same = 1;
+        const std::size_t groups = (distinct + 7) / 8 * 8;
+        for (std::size_t j = 0; j < groups; ++j) {
+            seen |= words[j] == w;
+            same += banks_of[j] == bank;
+        }
+        if (seen)
+            continue;
+        words[distinct] = w;
+        banks_of[distinct] = bank;
+        ++distinct;
+        degree = std::max(degree, same);
+    }
     return std::uint64_t{phases} * degree;
 }
 

@@ -25,6 +25,9 @@
 
 namespace vqllm::gpusim {
 
+/** Most lanes one warpTransactions call accepts (a 64-wide wavefront). */
+constexpr std::size_t kMaxWarpLanes = 64;
+
 /**
  * Count the transactions needed for one warp-wide shared-memory access.
  *
@@ -34,7 +37,8 @@ namespace vqllm::gpusim {
  * *distinct* words addressed in that bank.
  *
  * @param spec            GPU description (bank count, word size)
- * @param lane_byte_addrs starting byte address per active lane
+ * @param lane_byte_addrs starting byte address per active lane (at most
+ *                        spec.warp_size and kMaxWarpLanes lanes)
  * @param bytes_per_lane  contiguous bytes read by each lane
  * @return total transactions (>= number of word phases; == phases when
  *         conflict-free)

@@ -350,23 +350,30 @@ CodebookResidency::touchBatch(const std::vector<std::uint64_t> &groups)
     BatchResult out;
 
     // Deduplicate: one upload serves every sequence sharing the group.
-    std::vector<std::uint64_t> unique = groups;
+    // The buffer is a member, so a step allocates nothing.
+    std::vector<std::uint64_t> &unique = unique_;
+    unique.assign(groups.begin(), groups.end());
     std::sort(unique.begin(), unique.end());
     unique.erase(std::unique(unique.begin(), unique.end()),
                  unique.end());
 
     // Pin already-resident members of the batch so admissions below
-    // cannot evict them mid-iteration.
-    for (std::uint64_t g : unique) {
-        auto it = resident_.find(g);
-        if (it != resident_.end())
+    // cannot evict them mid-iteration.  Each group's slot is looked up
+    // once: element pointers survive rehashing, and a pinned slot is
+    // never the one erased.
+    std::vector<Slot *> &slot_of = batch_slots_;
+    slot_of.assign(unique.size(), nullptr);
+    for (std::size_t i = 0; i < unique.size(); ++i) {
+        auto it = resident_.find(unique[i]);
+        if (it != resident_.end()) {
             it->second.pinned = true;
+            slot_of[i] = &it->second;
+        }
     }
 
-    for (std::uint64_t g : unique) {
-        auto it = resident_.find(g);
-        if (it != resident_.end()) {
-            ++it->second.freq;
+    for (std::size_t i = 0; i < unique.size(); ++i) {
+        if (slot_of[i] != nullptr) {
+            ++slot_of[i]->freq;
             ++out.hits;
             continue;
         }
@@ -394,11 +401,13 @@ CodebookResidency::touchBatch(const std::vector<std::uint64_t> &groups)
             resident_.erase(victim);
             ++out.evictions;
         }
-        resident_.emplace(g, Slot{1, true});
+        slot_of[i] = &resident_.emplace(unique[i], Slot{1, true})
+                          .first->second;
     }
 
-    for (auto &[g, slot] : resident_)
-        slot.pinned = false;
+    for (Slot *slot : slot_of)
+        if (slot != nullptr)
+            slot->pinned = false;
 
     stats_.hits += out.hits;
     stats_.misses += out.misses;

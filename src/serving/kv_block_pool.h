@@ -397,6 +397,10 @@ class CodebookResidency
     std::size_t slots_;
     std::unordered_map<std::uint64_t, Slot> resident_;
     CodebookResidencyStats stats_;
+    /** touchBatch's de-duplicated batch and its resident slots
+     *  (reused across steps). */
+    std::vector<std::uint64_t> unique_;
+    std::vector<Slot *> batch_slots_;
 };
 
 } // namespace vqllm::serving

@@ -5,7 +5,6 @@
 
 #include "common/bitutils.h"
 #include "common/logging.h"
-#include "common/simd.h"
 
 namespace vqllm::vq {
 
@@ -21,6 +20,7 @@ Codebook::plain(const Tensor<float> &entries)
     cb.vectorSize_ = static_cast<unsigned>(entries.dim(1));
     cb.logicalEntries_ = entries.dim(0);
     cb.lattice_ = false;
+    cb.search_ = NearestSearch(cb.entries_);
     return cb;
 }
 
@@ -37,6 +37,7 @@ Codebook::lattice(const Tensor<float> &base_entries)
     cb.vectorSize_ = static_cast<unsigned>(base_entries.dim(1));
     vqllm_assert(cb.vectorSize_ <= 16, "sign mask limited to 16 elements");
     cb.logicalEntries_ = base_entries.dim(0) << cb.vectorSize_;
+    cb.baseBits_ = ceilLog2(base_entries.dim(0));
     cb.lattice_ = true;
     return cb;
 }
@@ -56,7 +57,7 @@ Codebook::decode(std::uint32_t index, float *out) const
     std::uint32_t base_mask =
         static_cast<std::uint32_t>(entries_.dim(0)) - 1;
     std::uint32_t base = index & base_mask;
-    std::uint32_t signs = index >> ceilLog2(entries_.dim(0));
+    std::uint32_t signs = index >> baseBits_;
     const float *src =
         entries_.data() + static_cast<std::size_t>(base) * vectorSize_;
     for (unsigned d = 0; d < vectorSize_; ++d)
@@ -70,15 +71,7 @@ Codebook::encode(const float *sub, double *err) const
     std::uint32_t best_idx = 0;
 
     if (!lattice_) {
-        const std::size_t n = entries_.dim(0);
-        const float *cand = entries_.data();
-        for (std::size_t e = 0; e < n; ++e, cand += vectorSize_) {
-            double d = simd::squaredDistance(sub, cand, vectorSize_);
-            if (d < best) {
-                best = d;
-                best_idx = static_cast<std::uint32_t>(e);
-            }
-        }
+        best_idx = search_.nearest(sub).index;
         if (err) {
             // Selection runs in float SIMD; report the chosen entry's
             // error in double so error comparisons against the
@@ -97,7 +90,6 @@ Codebook::encode(const float *sub, double *err) const
         // of sub[k] (base entries are non-negative), so the search is
         // O(base * vec) rather than O(logical * vec).
         const std::size_t n = entries_.dim(0);
-        unsigned base_bits = ceilLog2(n);
         for (std::size_t e = 0; e < n; ++e) {
             const float *cand = entries_.data() + e * vectorSize_;
             double d = 0;
@@ -116,7 +108,7 @@ Codebook::encode(const float *sub, double *err) const
             if (d < best) {
                 best = d;
                 best_idx = static_cast<std::uint32_t>(e) |
-                           (mask << base_bits);
+                           (mask << baseBits_);
             }
         }
     }
@@ -144,6 +136,8 @@ Codebook::reorder(const std::vector<std::uint32_t> &perm)
                 entries_.at(std::size_t(old_idx), std::size_t(d));
     }
     entries_ = std::move(reordered);
+    if (!lattice_)
+        search_ = NearestSearch(entries_);
     return inverse;
 }
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "tensor/tensor.h"
+#include "vq/nearest_search.h"
 
 namespace vqllm::vq {
 
@@ -105,9 +106,11 @@ class Codebook
 
   private:
     Tensor<float> entries_;  // stored table [stored, vector_size]
+    NearestSearch search_;   // over entries_ (plain books only)
     unsigned vectorSize_ = 0;
     std::size_t logicalEntries_ = 0;
     bool lattice_ = false;
+    unsigned baseBits_ = 0;  // lattice: index bits of the base entry
 };
 
 } // namespace vqllm::vq

@@ -7,6 +7,7 @@
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "common/simd.h"
+#include "vq/nearest_search.h"
 
 namespace vqllm::vq {
 
@@ -25,36 +26,18 @@ namespace {
 /** Rows per assignment chunk (static layout — see common/parallel.h). */
 constexpr std::size_t kAssignGrain = 256;
 
-/** Nearest centroid of one row: (centroid index, squared distance). */
-std::pair<std::uint32_t, double>
-nearestCentroid(const float *row, const Tensor<float> &centroids)
-{
-    const std::size_t k = centroids.dim(0);
-    const std::size_t dim = centroids.dim(1);
-    float best = std::numeric_limits<float>::max();
-    std::uint32_t best_c = 0;
-    const float *cand = centroids.data();
-    for (std::size_t c = 0; c < k; ++c, cand += dim) {
-        float d = simd::squaredDistance(row, cand, dim);
-        if (d < best) {
-            best = d;
-            best_c = static_cast<std::uint32_t>(c);
-        }
-    }
-    return {best_c, static_cast<double>(best)};
-}
-
 /**
- * Assign every row to its nearest centroid (the single nearest-centroid
- * loop shared by assignToNearest and the Lloyd assignment step).
+ * Assign every row to its nearest centroid: the one assignment loop
+ * behind the Lloyd step and the final assignment.
  *
- * @param assign receives the per-row centroid index (size n)
+ * @param assign per-row centroid index (size n); with `hinted`, its
+ *               entry values are measured first (a previous assignment)
  * @return total inertia, reduced in chunk order (deterministic for any
  *         thread count)
  */
 double
-assignRows(const Tensor<float> &data, const Tensor<float> &centroids,
-           std::vector<std::uint32_t> &assign)
+assignRows(const Tensor<float> &data, const NearestSearch &search,
+           std::vector<std::uint32_t> &assign, bool hinted)
 {
     const std::size_t n = data.dim(0);
     const std::size_t dim = data.dim(1);
@@ -62,10 +45,11 @@ assignRows(const Tensor<float> &data, const Tensor<float> &centroids,
         n, kAssignGrain, [&](const par::ChunkRange &c) {
             double inertia = 0;
             for (std::size_t i = c.begin; i < c.end; ++i) {
-                auto [best_c, d] =
-                    nearestCentroid(data.data() + i * dim, centroids);
-                assign[i] = best_c;
-                inertia += d;
+                auto hit = search.nearest(data.data() + i * dim,
+                                          hinted ? assign[i]
+                                                 : NearestSearch::kNoHint);
+                assign[i] = hit.index;
+                inertia += hit.dist;
             }
             return inertia;
         });
@@ -92,9 +76,13 @@ kMeansPlusPlusInit(const Tensor<float> &data, std::size_t k, Rng &rng)
             n, kAssignGrain, [&](const par::ChunkRange &ch) {
                 double part = 0;
                 for (std::size_t i = ch.begin; i < ch.end; ++i) {
-                    double d = simd::squaredDistance(
-                        data.data() + i * dim, last, dim);
-                    dist_sq[i] = std::min(dist_sq[i], d);
+                    // A row already on a centroid stays at 0 (distances
+                    // are never negative): skip its distance.
+                    if (dist_sq[i] > 0) {
+                        double d = simd::squaredDistance(
+                            data.data() + i * dim, last, dim);
+                        dist_sq[i] = std::min(dist_sq[i], d);
+                    }
                     part += dist_sq[i];
                 }
                 return part;
@@ -135,18 +123,23 @@ subsample(const Tensor<float> &data, std::size_t limit, Rng &rng)
     return out;
 }
 
-} // namespace
-
-std::vector<std::uint32_t>
-assignToNearest(const Tensor<float> &data, const Tensor<float> &centroids)
+/**
+ * The Lloyd fit shared by kMeans and kMeansCentroids: k-means++ seeding,
+ * then assignment/update steps on the (possibly subsampled) fit rows.
+ */
+struct LloydFit
 {
-    std::vector<std::uint32_t> assign(data.dim(0), 0);
-    assignRows(data, centroids, assign);
-    return assign;
-}
+    /** Centroids after the last update step. */
+    Tensor<float> centroids;
+    /** The last assignment step's choice per fit row. */
+    std::vector<std::uint32_t> fit_assign;
+    /** Whether the fit ran on a subsample. */
+    bool sampled = false;
+    int iterations = 0;
+};
 
-KMeansResult
-kMeans(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
+LloydFit
+lloyd(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
 {
     vqllm_assert(data.rank() == 2, "k-means expects [n, dim] data");
     vqllm_assert(k >= 1, "k must be positive");
@@ -157,26 +150,30 @@ kMeans(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
     Rng rng(opts.seed);
 
     // Optionally fit on a subsample for paper-scale tensors.
-    const bool sampled = opts.sample_limit > 0 && opts.sample_limit < n;
+    LloydFit out;
+    out.sampled = opts.sample_limit > 0 && opts.sample_limit < n;
     Tensor<float> fit_storage;
-    if (sampled)
+    if (out.sampled)
         fit_storage = subsample(data, opts.sample_limit, rng);
-    const Tensor<float> &fit = sampled ? fit_storage : data;
+    const Tensor<float> &fit = out.sampled ? fit_storage : data;
     const std::size_t fn = fit.dim(0);
 
-    KMeansResult res;
-    res.centroids = kMeansPlusPlusInit(fit, k, rng);
+    Tensor<float> &centroids = out.centroids;
+    centroids = kMeansPlusPlusInit(fit, k, rng);
 
-    std::vector<std::uint32_t> fit_assign(fn, 0);
+    std::vector<std::uint32_t> &fit_assign = out.fit_assign;
+    fit_assign.assign(fn, 0);
     double prev_inertia = std::numeric_limits<double>::max();
 
     for (int iter = 0; iter < opts.max_iters; ++iter) {
-        res.iterations = iter + 1;
-        // Assignment step (parallel; deterministic chunk-order reduce).
-        double inertia = assignRows(fit, res.centroids, fit_assign);
+        out.iterations = iter + 1;
+        // Assignment step (parallel; deterministic chunk-order reduce),
+        // measuring each row's previous centroid first.
+        double inertia = assignRows(fit, NearestSearch(centroids),
+                                    fit_assign, iter > 0);
 
         // Update step (double accumulation for stability; serial — it
-        // is O(n*dim) against the assignment's O(n*k*dim)).
+        // is O(n*dim) against the assignment's search).
         std::vector<double> sums(k * dim, 0.0);
         std::vector<std::size_t> counts(k, 0);
         for (std::size_t i = 0; i < fn; ++i) {
@@ -190,15 +187,14 @@ kMeans(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
                 // Reseed an empty cluster at a random data row.
                 std::size_t src = rng.uniformInt(fn);
                 for (std::size_t d = 0; d < dim; ++d)
-                    res.centroids.at(c, d) = fit.at(src, d);
+                    centroids.at(c, d) = fit.at(src, d);
                 continue;
             }
             for (std::size_t d = 0; d < dim; ++d)
-                res.centroids.at(c, d) = static_cast<float>(
+                centroids.at(c, d) = static_cast<float>(
                     sums[c * dim + d] / static_cast<double>(counts[c]));
         }
 
-        res.inertia = inertia;
         if (prev_inertia < std::numeric_limits<double>::max()) {
             double rel = (prev_inertia - inertia) /
                          std::max(prev_inertia, 1e-30);
@@ -207,20 +203,42 @@ kMeans(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
         }
         prev_inertia = inertia;
     }
+    return out;
+}
 
-    // Final assignment over the full dataset.
-    res.assignments = assignToNearest(data, res.centroids);
-    if (sampled) {
-        // Recompute inertia on the full data for a meaningful metric.
-        res.inertia = par::parallelSum<double>(
-            n, kAssignGrain, [&](const par::ChunkRange &c) {
-                double part = 0;
-                for (std::size_t i = c.begin; i < c.end; ++i)
-                    part += rowDistanceSq(data, i, res.centroids,
-                                          res.assignments[i]);
-                return part;
-            });
-    }
+} // namespace
+
+std::vector<std::uint32_t>
+assignToNearest(const Tensor<float> &data, const Tensor<float> &centroids)
+{
+    std::vector<std::uint32_t> assign(data.dim(0), 0);
+    assignRows(data, NearestSearch(centroids), assign, false);
+    return assign;
+}
+
+Tensor<float>
+kMeansCentroids(const Tensor<float> &data, std::size_t k,
+                const KMeansOptions &opts)
+{
+    return lloyd(data, k, opts).centroids;
+}
+
+KMeansResult
+kMeans(const Tensor<float> &data, std::size_t k, const KMeansOptions &opts)
+{
+    LloydFit fit = lloyd(data, k, opts);
+    KMeansResult res;
+    res.centroids = std::move(fit.centroids);
+    res.iterations = fit.iterations;
+    // Final assignment over the full dataset; an unsampled fit starts
+    // each row from its last Lloyd choice.  Its sum is the inertia of
+    // exactly the returned centroids and assignments.
+    if (fit.sampled)
+        res.assignments.assign(data.dim(0), 0);
+    else
+        res.assignments = std::move(fit.fit_assign);
+    res.inertia = assignRows(data, NearestSearch(res.centroids),
+                             res.assignments, !fit.sampled);
     return res;
 }
 

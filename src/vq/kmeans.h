@@ -38,7 +38,8 @@ struct KMeansResult
     Tensor<float> centroids;
     /** Cluster index per input row. */
     std::vector<std::uint32_t> assignments;
-    /** Final sum of squared distances to assigned centroids. */
+    /** Sum of squared distances of every row to its assigned
+     *  (returned) centroid. */
     double inertia = 0;
     /** Lloyd iterations actually executed. */
     int iterations = 0;
@@ -54,6 +55,13 @@ struct KMeansResult
  */
 KMeansResult kMeans(const Tensor<float> &data, std::size_t k,
                     const KMeansOptions &opts = KMeansOptions{});
+
+/**
+ * The centroids kMeans() returns, without its final assignment of every
+ * row: for callers that keep only the codebook.
+ */
+Tensor<float> kMeansCentroids(const Tensor<float> &data, std::size_t k,
+                              const KMeansOptions &opts = KMeansOptions{});
 
 /**
  * Assign each row of `data` to the nearest centroid.

@@ -54,6 +54,42 @@ INSTANTIATE_TEST_SUITE_P(Widths, BitStreamWidth,
                          ::testing::Values(1u, 2u, 3u, 4u, 7u, 8u, 11u, 12u,
                                            13u, 16u, 17u, 24u, 31u, 32u));
 
+/** The i-th value of a packed payload, read one bit at a time. */
+std::uint32_t
+bitByBit(const std::vector<std::uint8_t> &bytes, unsigned bits,
+         std::size_t i)
+{
+    std::uint32_t value = 0;
+    for (unsigned b = 0; b < bits; ++b) {
+        std::size_t pos = i * bits + b;
+        if (bytes[pos / 8] & (1u << (pos % 8)))
+            value |= 1u << b;
+    }
+    return value;
+}
+
+TEST(BitStream, WordReadsMatchBitByBitAtEveryWidth)
+{
+    Rng rng(0xb175);
+    for (unsigned bits = 1; bits <= 32; ++bits) {
+        // Eight values end exactly on the last byte; 13 do not (unless
+        // the width is a multiple of 8).  Both payloads are sized
+        // exactly, so a read past the value would leave the heap block.
+        for (std::size_t count : {std::size_t{8}, std::size_t{13}}) {
+            std::vector<std::uint8_t> bytes((count * bits + 7) / 8);
+            for (auto &b : bytes)
+                b = static_cast<std::uint8_t>(rng.uniformInt(256));
+            std::vector<std::uint8_t> copy = bytes;
+            BitStream bs = BitStream::fromBytes(bits, count,
+                                                std::move(bytes));
+            for (std::size_t i = 0; i < count; ++i)
+                ASSERT_EQ(bs.get(i), bitByBit(copy, bits, i))
+                    << "width " << bits << " count " << count << " idx "
+                    << i;
+        }
+    }
+}
+
 TEST(BitStream, CrossesWordBoundaryMatchesArithmetic)
 {
     BitStream bs(12);

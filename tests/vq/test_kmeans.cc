@@ -106,6 +106,31 @@ TEST(KMeans, AssignmentsMatchNearestCentroid)
     EXPECT_EQ(res.assignments, manual);
 }
 
+TEST(KMeans, InertiaMatchesReturnedAssignment)
+{
+    // The inertia describes the returned centroids and assignments (not
+    // the last Lloyd step before its centroid update), sampled or not.
+    Rng rng(3);
+    auto data = generateClustered(3000, 4, ClusteredDataSpec{}, rng);
+    for (std::size_t sample_limit : {std::size_t{0}, std::size_t{500}}) {
+        KMeansOptions opts;
+        opts.sample_limit = sample_limit;
+        auto res = kMeans(data, 32, opts);
+        EXPECT_EQ(res.assignments, assignToNearest(data, res.centroids))
+            << "sample_limit " << sample_limit;
+        double actual = 0;
+        for (std::size_t i = 0; i < data.dim(0); ++i)
+            actual += rowDistanceSq(data, i, res.centroids,
+                                    res.assignments[i]);
+        // Only the summation order may differ.
+        EXPECT_NEAR(res.inertia, actual, 1e-9 * actual)
+            << "sample_limit " << sample_limit;
+        EXPECT_EQ(maxAbsDiff(res.centroids,
+                             kMeansCentroids(data, 32, opts)),
+                  0.0);
+    }
+}
+
 TEST(KMeans, SampledTrainingStillClusters)
 {
     Rng rng(7);
